@@ -293,12 +293,8 @@ Status AgentServer::Boot() {
   // entries (reactions the crash interrupted before their group commit)
   // are handed straight to their shards, in QueueIN order.
   Post([this]() -> std::size_t {
-    for (const OutEntry& entry : queue_out_) {
-      DataFrame frame{entry.message, entry.domain, entry.stamp,
-                      options_.epoch, incarnation_,
-                      CoreTagFor(entry.domain)};
-      EmitFrame(entry.next_hop, frame.Serialize());
-      ScheduleRetransmit(entry.message.id, 0);
+    for (OutEntry& entry : queue_out_) {
+      EmitOutEntry(entry);
       // Each resume emission is a first emission under THIS
       // incarnation's numbering: the peer observed the new incarnation
       // and restarted its accepted count, so every frame it accepts
@@ -1014,11 +1010,7 @@ std::size_t AgentServer::EnqueueStampedLocked(OutEntry entry) {
     // admitted by one, forever).
     link.Admit();
   }
-  const OutEntry& stored = queue_out_.back();
-  DataFrame frame{stored.message, stored.domain, stored.stamp,
-                  options_.epoch, incarnation_, CoreTagFor(stored.domain)};
-  EmitFrame(hop, frame.Serialize());
-  ScheduleRetransmit(id, 0);
+  EmitOutEntry(queue_out_.back());
   return entries;
 }
 
@@ -1027,33 +1019,94 @@ void AgentServer::EmitFrame(ServerId to, Bytes bytes) {
   pending_frames_.emplace_back(to, std::move(bytes));
 }
 
-void AgentServer::ScheduleRetransmit(MessageId id,
-                                     std::uint32_t attempts_so_far) {
-  const std::uint32_t shift = std::min<std::uint32_t>(attempts_so_far, 6);
-  const std::uint64_t delay = options_.retransmit_timeout_ns << shift;
-  runtime_->After(delay, [this, id, life = life_] {
+void AgentServer::EmitOutEntry(OutEntry& entry) {
+  DataFrame frame{entry.message, entry.domain, entry.stamp, options_.epoch,
+                  incarnation_, CoreTagFor(entry.domain)};
+  EmitFrame(entry.next_hop, frame.Serialize());
+  ScheduleRetransmit(entry);
+}
+
+void AgentServer::ScheduleRetransmit(OutEntry& entry) {
+  const std::uint32_t level = std::min(entry.attempts, kMaxBackoffShift);
+  entry.retransmit_at_ns =
+      runtime_->NowNs() + (options_.retransmit_timeout_ns << level);
+  // Drop the stale head first, so a FIFO whose entries are acknowledged
+  // within one timeout stays as short as the in-flight window.
+  std::deque<RetransmitRecord>& fifo = retransmit_fifos_[level];
+  PopStaleRetransmitsLocked(fifo);
+  fifo.push_back({entry.retransmit_at_ns, entry.message.id});
+  ArmRetransmitTimerLocked();
+}
+
+void AgentServer::PopStaleRetransmitsLocked(
+    std::deque<RetransmitRecord>& fifo) const {
+  while (!fifo.empty()) {
+    auto it = queue_out_index_.find(fifo.front().id);
+    if (it != queue_out_index_.end() &&
+        it->second->retransmit_at_ns == fifo.front().deadline_ns) {
+      return;
+    }
+    fifo.pop_front();
+  }
+}
+
+std::deque<AgentServer::RetransmitRecord>*
+AgentServer::EarliestRetransmitLocked() {
+  std::deque<RetransmitRecord>* earliest = nullptr;
+  // Highest level first: on a deadline tie it was scheduled earliest.
+  for (auto fifo = retransmit_fifos_.rbegin(); fifo != retransmit_fifos_.rend();
+       ++fifo) {
+    PopStaleRetransmitsLocked(*fifo);
+    if (!fifo->empty() &&
+        (earliest == nullptr ||
+         fifo->front().deadline_ns < earliest->front().deadline_ns)) {
+      earliest = &*fifo;
+    }
+  }
+  return earliest;
+}
+
+void AgentServer::ArmRetransmitTimerLocked() {
+  if (retransmit_timer_armed_) return;
+  const std::deque<RetransmitRecord>* earliest = EarliestRetransmitLocked();
+  if (earliest == nullptr) return;  // nothing emitted awaits an ack
+  const std::uint64_t now = runtime_->NowNs();
+  const std::uint64_t deadline = earliest->front().deadline_ns;
+  // Sleep at most one base timeout: every record pushed while this
+  // timer is pending is due at least that far from now, so the single
+  // timer never fires late for a newer, earlier deadline.
+  const std::uint64_t delay = std::min(
+      deadline > now ? deadline - now : 0, options_.retransmit_timeout_ns);
+  retransmit_timer_armed_ = true;
+  runtime_->After(delay, [this, life = life_] {
     std::lock_guard hold(life->mutex);
     if (!life->alive) return;
-    Post([this, id]() -> std::size_t {
-      auto it = queue_out_index_.find(id);
-      if (it == queue_out_index_.end()) return 0;  // acknowledged meanwhile
-      OutEntry& entry = *it->second;
-      if (options_.max_retransmit_attempts != 0 &&
-          entry.attempts >= options_.max_retransmit_attempts) {
-        CMOM_LOG(kError) << "giving up on " << id << " after "
-                         << entry.attempts << " retransmissions";
-        return 0;
-      }
-      ++entry.attempts;
-      ++stats_.retransmissions;
-      DataFrame frame{entry.message, entry.domain, entry.stamp,
-                      options_.epoch, incarnation_,
-                      CoreTagFor(entry.domain)};
-      EmitFrame(entry.next_hop, frame.Serialize());
-      ScheduleRetransmit(id, entry.attempts);
-      return 0;
-    });
+    Post([this] { return RetransmitDue(); });
   });
+}
+
+std::size_t AgentServer::RetransmitDue() {
+  // The timer stays marked pending while due entries are re-sent, so
+  // their ScheduleRetransmit calls do not arm a second one.
+  const std::uint64_t now = runtime_->NowNs();
+  while (std::deque<RetransmitRecord>* fifo = EarliestRetransmitLocked()) {
+    if (fifo->front().deadline_ns > now) break;
+    OutEntry& entry = *queue_out_index_.at(fifo->front().id);
+    fifo->pop_front();
+    if (options_.max_retransmit_attempts != 0 &&
+        entry.attempts >= options_.max_retransmit_attempts) {
+      CMOM_LOG(kError) << "giving up on " << entry.message.id << " after "
+                       << entry.attempts << " retransmissions";
+      entry.retransmit_at_ns = kNoRetransmit;
+      continue;
+    }
+    ++entry.attempts;
+    ++stats_.retransmissions;
+    EmitOutEntry(entry);
+  }
+  retransmit_timer_armed_ = false;
+  ArmRetransmitTimerLocked();
+  return 0;
 }
 
 // ---------------------------------------------------------------------
@@ -1092,11 +1145,7 @@ std::size_t AgentServer::ReleaseBlocked(ServerId peer, bool force) {
     auto qit = queue_out_index_.find(id);
     if (qit == queue_out_index_.end()) continue;  // retired before emission
     link.Admit();
-    OutEntry& entry = *qit->second;
-    DataFrame frame{entry.message, entry.domain, entry.stamp, options_.epoch,
-                    incarnation_, CoreTagFor(entry.domain)};
-    EmitFrame(entry.next_hop, frame.Serialize());
-    ScheduleRetransmit(id, entry.attempts);
+    EmitOutEntry(*qit->second);
     ++released;
   }
   return released;
@@ -1122,12 +1171,7 @@ void AgentServer::ScheduleCreditProbe(ServerId peer) {
         auto qit = queue_out_index_.find(id);
         if (qit == queue_out_index_.end()) continue;
         it->second.Admit();
-        OutEntry& entry = *qit->second;
-        DataFrame frame{entry.message, entry.domain, entry.stamp,
-                        options_.epoch, incarnation_,
-                        CoreTagFor(entry.domain)};
-        EmitFrame(entry.next_hop, frame.Serialize());
-        ScheduleRetransmit(id, entry.attempts);
+        EmitOutEntry(*qit->second);
         break;  // one frame per probe: solicit, don't flood
       }
       if (it->second.paused()) ScheduleCreditProbe(peer);

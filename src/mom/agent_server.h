@@ -41,6 +41,9 @@
 // Unacknowledged QueueOUT entries are retransmitted with their original
 // stamp; the receiver's clock check recognizes and drops duplicates, so
 // the bus delivers exactly once across frame loss and server crashes.
+// Each emitted entry carries its next retransmission deadline, and the
+// server keeps one runtime timer for all of them (see
+// ScheduleRetransmit), not one per emitted frame.
 //
 // Processing-cost simulation: with a CostModel configured (simulated
 // runs), each transaction charges
@@ -401,16 +404,34 @@ class AgentServer {
     std::uint64_t persisted_clock_version = 0;
   };
 
+  static constexpr std::uint64_t kNoRetransmit = ~std::uint64_t{0};
+
   struct OutEntry {
     Message message;
     ServerId next_hop;
     DomainId domain;
     clocks::Stamp stamp;
     std::uint32_t attempts = 0;
+    // Runtime time of the next retransmission; kNoRetransmit before the
+    // first emission (credit-blocked) and after the chain gave up.
+    // Volatile: the Boot resume pass schedules every recovered entry.
+    std::uint64_t retransmit_at_ns = kNoRetransmit;
     // Monotonic enqueue ticket; persisted so recovery rebuilds QueueOUT
     // in original order even though store keys sort by message id.
     std::uint64_t enqueue_seq = 0;
   };
+
+  // One scheduled retransmission of QueueOUT entry `id`.  Records are
+  // never erased in place: a record is live iff `id` is still in
+  // queue_out_index_ and the entry still carries `deadline_ns`; a stale
+  // one (acknowledged, rescheduled or given up) is popped when it
+  // reaches the front of its FIFO.
+  struct RetransmitRecord {
+    std::uint64_t deadline_ns = 0;
+    MessageId id;
+  };
+  // Backoff doubles per attempt up to timeout << kMaxBackoffShift.
+  static constexpr std::uint32_t kMaxBackoffShift = 6;
 
   struct InEntry {
     std::uint64_t seq = 0;  // key suffix of the qin/ store entry
@@ -459,10 +480,25 @@ class AgentServer {
   // unblock a paused sender, else arms the window timer.
   void MaybeCoalesceAcksLocked();
   void FlushFrames(std::vector<std::pair<ServerId, Bytes>> frames);
-  // Schedules the next retransmission check for `id`.  The delay grows
-  // exponentially with the attempts already made (capped at 64x the
-  // base timeout) so a backlogged peer is probed, not bombarded.
-  void ScheduleRetransmit(MessageId id, std::uint32_t attempts_so_far);
+  // Emits `entry`'s data frame (original stamp) and schedules its next
+  // retransmission.  Caller holds mutex_ inside a work item.
+  void EmitOutEntry(OutEntry& entry);
+  // Sets the just-emitted `entry`'s next retransmission deadline and
+  // records it in the deadline queue.  The delay grows exponentially
+  // with the attempts already made (capped at 64x the base timeout) so
+  // a backlogged peer is probed, not bombarded.  Caller holds mutex_.
+  void ScheduleRetransmit(OutEntry& entry);
+  // Pops records off `fifo`'s front until its head is live.
+  void PopStaleRetransmitsLocked(std::deque<RetransmitRecord>& fifo) const;
+  // Pops stale records off the FIFO fronts; returns the FIFO whose
+  // front is the earliest live record, or nullptr when none is live.
+  std::deque<RetransmitRecord>* EarliestRetransmitLocked();
+  // Arms the server's one retransmission timer unless it is already
+  // pending or no record is live.  Caller holds mutex_.
+  void ArmRetransmitTimerLocked();
+  // The timer's work item: re-sends every live entry whose deadline
+  // has passed, then re-arms.
+  std::size_t RetransmitDue();
 
   // --- flow control (src/flow) ----------------------------------------
   // Per-peer credit bookkeeping, created on first use.
@@ -685,6 +721,15 @@ class AgentServer {
   std::list<OutEntry> queue_out_;
   std::unordered_map<MessageId, std::list<OutEntry>::iterator>
       queue_out_index_;
+  // Retransmission deadline queue: one FIFO per backoff level.  Every
+  // record in FIFO k was pushed `retransmit_timeout_ns << k` before its
+  // deadline and runtime time is monotonic, so each FIFO is already in
+  // deadline order and the earliest deadline is the least front.
+  std::array<std::deque<RetransmitRecord>, kMaxBackoffShift + 1>
+      retransmit_fifos_;
+  // True from arming the retransmission timer until its work item has
+  // re-armed it (or found no live record).  Guarded by mutex_.
+  bool retransmit_timer_armed_ = false;
   std::deque<InEntry> queue_in_;
   std::unordered_map<std::uint32_t, std::unique_ptr<Agent>> agents_;
   std::uint64_t next_msg_seq_ = 1;

@@ -208,11 +208,16 @@ ThreadRuntime::~ThreadRuntime() {
 std::uint64_t ThreadRuntime::NowNs() { return MonotonicNowNs(); }
 
 void ThreadRuntime::After(std::uint64_t delay_ns, std::function<void()> fn) {
+  bool earliest = false;
   {
     std::lock_guard lock(mutex_);
-    deadlines_.emplace(MonotonicNowNs() + delay_ns, std::move(fn));
+    const auto it =
+        deadlines_.emplace(MonotonicNowNs() + delay_ns, std::move(fn));
+    earliest = it == deadlines_.begin();
   }
-  wake_.notify_all();
+  // The timer thread already sleeps until the first deadline; only a
+  // new first deadline moves its wake-up earlier.
+  if (earliest) wake_.notify_all();
 }
 
 void ThreadRuntime::TimerLoop() {

@@ -316,7 +316,9 @@ TEST(HybridBufferingBarriers, StampSizeTracksInFlightNotHistory) {
     EXPECT_LE(a.barrier_count(), 2u);
     EXPECT_LE(b.barrier_count(), 2u);
     if (round == 10) steady = ping.entries.size();
-    if (round > 10) EXPECT_EQ(ping.entries.size(), steady);
+    if (round > 10) {
+      EXPECT_EQ(ping.entries.size(), steady);
+    }
   }
 }
 

@@ -23,6 +23,11 @@ struct FaultCase {
   double jitter;
 };
 
+// Without this gtest prints the raw struct bytes, `name`'s address
+// among them, which ASLR changes from run to run -- and with it the
+// test names that gtest_discover_tests registers with ctest.
+void PrintTo(const FaultCase& fault, std::ostream* os) { *os << fault.name; }
+
 class FaultSweep
     : public ::testing::TestWithParam<std::tuple<FaultCase, std::uint64_t>> {
 };

@@ -123,7 +123,9 @@ TEST_P(VectorClockLattice, SemilatticeLaws) {
     EXPECT_EQ(aa, a);  // idempotent
 
     // Antisymmetry of the order.
-    if (a.HappensBefore(b)) EXPECT_FALSE(b.HappensBefore(a));
+    if (a.HappensBefore(b)) {
+      EXPECT_FALSE(b.HappensBefore(a));
+    }
   }
 }
 

@@ -329,7 +329,9 @@ TEST(LogHistogram, BucketEdgesArePowersOfTwo) {
     edges.Record((std::uint64_t{1} << b) - 1);        // inclusive high edge
     if (b >= 2) edges.Record(std::uint64_t{1} << b);  // just past: bucket b+1
     EXPECT_EQ(edges.buckets[b], 2u) << "bucket " << b;
-    if (b >= 2) EXPECT_EQ(edges.buckets[b + 1], 1u) << "bucket " << b;
+    if (b >= 2) {
+      EXPECT_EQ(edges.buckets[b + 1], 1u) << "bucket " << b;
+    }
   }
 
   // Everything at and beyond 2^30 clamps into the last bucket.

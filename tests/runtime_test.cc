@@ -72,6 +72,30 @@ TEST(ThreadRuntime, AfterFiresApproximatelyOnTime) {
   EXPECT_LT(fired_at - start, 2ull * 1000 * 1000 * 1000);
 }
 
+TEST(ThreadRuntime, EarlierTimerWakesTheSleepingTimerThread) {
+  // The timer thread sleeps until its first deadline; a timer inserted
+  // ahead of it must wake the thread instead of waiting out the hour.
+  ThreadRuntime runtime;
+  runtime.After(3600ull * 1000 * 1000 * 1000, [] { ADD_FAILURE(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));  // let it park
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool fired = false;
+  const std::uint64_t start = runtime.NowNs();
+  std::uint64_t fired_at = 0;
+  runtime.After(20 * 1000 * 1000, [&] {  // 20 ms
+    std::lock_guard lock(mutex);
+    fired = true;
+    fired_at = runtime.NowNs();
+    cv.notify_one();
+  });
+  std::unique_lock lock(mutex);
+  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
+                          [&] { return fired; }));
+  EXPECT_GE(fired_at - start, 20ull * 1000 * 1000);
+  EXPECT_LT(fired_at - start, 2ull * 1000 * 1000 * 1000);
+}
+
 TEST(ThreadRuntime, MultipleTimersAllFire) {
   ThreadRuntime runtime;
   std::atomic<int> fired{0};
