@@ -1,19 +1,24 @@
 // Commit-path benchmark: cost of making one message durable, as a
 // function of the QueueOUT backlog behind it.
 //
-// The historical full-image scheme rewrites the whole channel image
+// A whole-image scheme rewrites the server's entire channel image
 // (clocks + QueueOUT + QueueIN + hold-back) on every commit, so the
 // bytes per message grow linearly with the backlog of unacknowledged
 // messages -- exactly the disk-I/O overload the paper's Section 3
-// worries about.  The incremental scheme writes per-entry keys and
-// only the clock images whose version advanced, so bytes per message
-// are O(1) in the backlog.
+// worries about.  The server's incremental schema writes per-entry
+// keys and only the clock images whose version advanced, so bytes per
+// message are O(1) in the backlog.
 //
 // Scenario: Flat(2), only S0 booted; its peer never acks, so every
 // send stays in QueueOUT and the backlog is exact.  After building a
 // backlog of B messages, a probe batch measures commit bytes, commit
 // count and wall-clock per message.  Runs over InMemoryStore and
-// FileStore (real WAL writes), in both persist modes.
+// FileStore (real WAL writes).
+//
+// The whole-image rows are priced, not run: after each probe commit a
+// whole-image rewrite would have written the server's DebugImage()
+// (which serializes exactly those blobs, minus the meta record's
+// incarnation varint) under five fixed keys.  They carry bytes only.
 //
 // Output: a table on stdout plus BENCH_commit_path.json (use --out to
 // redirect).  --smoke shrinks the counts for the CI bench label.
@@ -22,6 +27,7 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "domains/topologies.h"
@@ -38,6 +44,7 @@ namespace {
 struct RunResult {
   std::string store;
   std::string mode;
+  bool analytic = false;  // priced from DebugImage(), bytes only
   std::size_t backlog = 0;
   std::size_t probes = 0;
   double commit_bytes_per_msg = 0;
@@ -45,6 +52,12 @@ struct RunResult {
   double msgs_per_sec = 0;
   double wal_file_bytes_per_msg = 0;  // FileStore only: on-disk growth
 };
+
+// Bytes a whole-image commit writes beyond DebugImage(): the five key
+// names "meta", "channel/clocks", "channel/qout", "engine/qin" and
+// "channel/holdback" (56 B), plus the meta record's incarnation varint
+// (1 B on a first boot).
+constexpr std::size_t kFullImageOverheadBytes = 56 + 1;
 
 std::uint64_t DirectoryBytes(const std::filesystem::path& dir) {
   std::uint64_t total = 0;
@@ -58,10 +71,13 @@ std::uint64_t DirectoryBytes(const std::filesystem::path& dir) {
 // Sends `backlog` warm-up messages, then `probes` measured ones, into a
 // QueueOUT that never drains (the peer is down).  Frames land in the
 // simulator's event queue and are never delivered; retransmit timers
-// are pushed out beyond the run.
-RunResult Measure(mom::Store* store, const std::filesystem::path* store_dir,
-                  std::string_view store_name, mom::PersistMode mode,
-                  std::size_t backlog, std::size_t probes) {
+// are pushed out beyond the run.  Returns the measured incremental row
+// and the priced whole-image row.
+std::pair<RunResult, RunResult> Measure(mom::Store* store,
+                                        const std::filesystem::path* store_dir,
+                                        std::string_view store_name,
+                                        std::size_t backlog,
+                                        std::size_t probes) {
   sim::Simulator simulator;
   net::SimRuntime runtime(simulator);
   net::SimNetwork network(simulator, net::CostModel{});
@@ -71,7 +87,6 @@ RunResult Measure(mom::Store* store, const std::filesystem::path* store_dir,
   auto endpoint1 = network.CreateEndpoint(ServerId(1)).value();  // dead peer
 
   mom::AgentServerOptions options;
-  options.persist_mode = mode;
   options.retransmit_timeout_ns = 1ull << 50;  // never fires in-run
   mom::AgentServer server(deployment, ServerId(0), endpoint0.get(), &runtime,
                           store, options);
@@ -90,17 +105,21 @@ RunResult Measure(mom::Store* store, const std::filesystem::path* store_dir,
   const std::uint64_t commits_before = server.stats().commits;
   const std::uint64_t files_before =
       store_dir != nullptr ? DirectoryBytes(*store_dir) : 0;
-  const auto t0 = std::chrono::steady_clock::now();
+  std::chrono::steady_clock::duration send_time{};
+  std::uint64_t full_image_bytes = 0;
   for (std::size_t i = 0; i < probes; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
     (void)server.SendMessage(from, to, "probe");
+    send_time += std::chrono::steady_clock::now() - t0;
+    // The send committed inline (no cost model): price the whole-image
+    // rewrite that commit would have been.
+    full_image_bytes += server.DebugImage().size() + kFullImageOverheadBytes;
   }
-  const auto t1 = std::chrono::steady_clock::now();
-  const double seconds = std::chrono::duration<double>(t1 - t0).count();
+  const double seconds = std::chrono::duration<double>(send_time).count();
 
   RunResult result;
   result.store = std::string(store_name);
-  result.mode = mode == mom::PersistMode::kIncremental ? "incremental"
-                                                       : "full_image";
+  result.mode = "incremental";
   result.backlog = backlog;
   result.probes = probes;
   result.commit_bytes_per_msg =
@@ -116,8 +135,17 @@ RunResult Measure(mom::Store* store, const std::filesystem::path* store_dir,
         static_cast<double>(DirectoryBytes(*store_dir) - files_before) /
         static_cast<double>(probes);
   }
+
+  RunResult priced;
+  priced.store = result.store;
+  priced.mode = "full_image";
+  priced.analytic = true;
+  priced.backlog = backlog;
+  priced.probes = probes;
+  priced.commit_bytes_per_msg = static_cast<double>(full_image_bytes) /
+                                static_cast<double>(probes);
   server.Shutdown();
-  return result;
+  return {result, priced};
 }
 
 void WriteJson(const std::string& path, const std::vector<RunResult>& results,
@@ -134,14 +162,20 @@ void WriteJson(const std::string& path, const std::vector<RunResult>& results,
   for (std::size_t i = 0; i < results.size(); ++i) {
     const RunResult& r = results[i];
     std::fprintf(out,
-                 "    {\"store\": \"%s\", \"mode\": \"%s\", \"backlog\": %zu, "
-                 "\"probes\": %zu, \"commit_bytes_per_msg\": %.1f, "
-                 "\"commits_per_msg\": %.2f, \"msgs_per_sec\": %.0f, "
-                 "\"wal_file_bytes_per_msg\": %.1f}%s\n",
-                 r.store.c_str(), r.mode.c_str(), r.backlog, r.probes,
-                 r.commit_bytes_per_msg, r.commits_per_msg, r.msgs_per_sec,
-                 r.wal_file_bytes_per_msg,
-                 i + 1 < results.size() ? "," : "");
+                 "    {\"store\": \"%s\", \"mode\": \"%s\", "
+                 "\"analytic\": %s, \"backlog\": %zu, \"probes\": %zu, "
+                 "\"commit_bytes_per_msg\": %.1f",
+                 r.store.c_str(), r.mode.c_str(),
+                 r.analytic ? "true" : "false", r.backlog, r.probes,
+                 r.commit_bytes_per_msg);
+    if (!r.analytic) {
+      std::fprintf(out,
+                   ", \"commits_per_msg\": %.2f, \"msgs_per_sec\": %.0f, "
+                   "\"wal_file_bytes_per_msg\": %.1f",
+                   r.commits_per_msg, r.msgs_per_sec,
+                   r.wal_file_bytes_per_msg);
+    }
+    std::fprintf(out, "}%s\n", i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
 
@@ -198,30 +232,36 @@ int main(int argc, char** argv) {
               "file B/msg");
 
   std::vector<RunResult> results;
-  const auto run = [&](mom::PersistMode mode, std::size_t bl) {
+  for (std::size_t bl : {std::size_t{0}, backlog}) {
+    std::pair<RunResult, RunResult> inmemory;
     {
       mom::InMemoryStore store;
-      results.push_back(Measure(&store, nullptr, "inmemory", mode, bl,
-                                probes));
+      inmemory = Measure(&store, nullptr, "inmemory", bl, probes);
     }
+    std::pair<RunResult, RunResult> filestore;
     {
       const std::filesystem::path dir =
           std::filesystem::temp_directory_path() / "cmom_bench_commit_path";
       std::filesystem::remove_all(dir);
       auto store = mom::FileStore::Open(dir).value();
       store->set_compaction_threshold(1ull << 40);  // no compaction in-run
-      results.push_back(
-          Measure(store.get(), &dir, "filestore", mode, bl, probes));
+      filestore = Measure(store.get(), &dir, "filestore", bl, probes);
       store.reset();
       std::filesystem::remove_all(dir);
     }
-  };
-  for (std::size_t bl : {std::size_t{0}, backlog}) {
-    run(mom::PersistMode::kFullImage, bl);
-    run(mom::PersistMode::kIncremental, bl);
+    results.push_back(inmemory.second);
+    results.push_back(filestore.second);
+    results.push_back(inmemory.first);
+    results.push_back(filestore.first);
   }
 
   for (const RunResult& r : results) {
+    if (r.analytic) {
+      std::printf("%-9s %-12s %8zu %14.1f %12s %12s %12s  (priced)\n",
+                  r.store.c_str(), r.mode.c_str(), r.backlog,
+                  r.commit_bytes_per_msg, "-", "-", "-");
+      continue;
+    }
     std::printf("%-9s %-12s %8zu %14.1f %12.2f %12.0f %12.1f\n",
                 r.store.c_str(), r.mode.c_str(), r.backlog,
                 r.commit_bytes_per_msg, r.commits_per_msg, r.msgs_per_sec,

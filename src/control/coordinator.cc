@@ -1,7 +1,6 @@
 #include "control/coordinator.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
@@ -10,42 +9,11 @@
 #include "clocks/causal_clock.h"
 #include "clocks/causal_core.h"
 #include "domains/config_io.h"
+#include "mom/store_schema.h"
 
 namespace cmom::control {
 
 namespace {
-
-// Store schema literals.  agent_server.cc owns the schema; the control
-// plane mirrors the two pieces it rewrites (clock images, queue
-// emptiness checks) byte-for-byte.
-constexpr std::string_view kClockKeyPrefix = "clk/";
-constexpr std::string_view kDrainedPrefixes[] = {"qout/", "qin/", "hold/"};
-
-std::string ClockKey(std::size_t deployment_index) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%04llx",
-                static_cast<unsigned long long>(deployment_index));
-  return std::string(kClockKeyPrefix) + buf;
-}
-
-Result<std::uint64_t> ParseHexSuffix(std::string_view key,
-                                     std::string_view prefix) {
-  std::uint64_t value = 0;
-  std::string_view digits = key.substr(prefix.size());
-  if (digits.empty()) return Status::DataLoss("empty store key suffix");
-  for (char c : digits) {
-    std::uint64_t nibble = 0;
-    if (c >= '0' && c <= '9') {
-      nibble = static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      nibble = static_cast<std::uint64_t>(c - 'a') + 10;
-    } else {
-      return Status::DataLoss("bad hex digit in store key");
-    }
-    value = (value << 4) | nibble;
-  }
-  return value;
-}
 
 bool Contains(const std::vector<ServerId>& servers, ServerId id) {
   return std::find(servers.begin(), servers.end(), id) != servers.end();
@@ -251,9 +219,10 @@ Status Coordinator::CutoverStore(mom::Store& store, ServerId self,
         ", plan expects " + std::to_string(plan.from_epoch));
   }
   // The correctness precondition: the store must be drained.  Any
-  // surviving queue entry would be stamped under the OLD coordinates
-  // and replayed against the NEW clocks after recovery.
-  for (std::string_view prefix : kDrainedPrefixes) {
+  // surviving queue entry -- including a router's staged forward, which
+  // is stamped only when it leaves -- would be stamped under the OLD
+  // coordinates and replayed against the NEW clocks after recovery.
+  for (std::string_view prefix : mom::kQueueKeyPrefixes) {
     if (!store.Keys(prefix).empty()) {
       return Status::FailedPrecondition(
           to_string(self) + "'s store is not drained (" +
@@ -265,9 +234,9 @@ Status Coordinator::CutoverStore(mom::Store& store, ServerId self,
   // deployment index (= position in old_config.domains;
   // Deployment::Create resolves domains in configuration order).
   std::map<std::size_t, std::unique_ptr<clocks::CausalCore>> old_cores;
-  std::vector<std::string> old_keys = store.Keys(kClockKeyPrefix);
+  std::vector<std::string> old_keys = store.Keys(mom::kClockKeyPrefix);
   for (const std::string& key : old_keys) {
-    auto index = ParseHexSuffix(key, kClockKeyPrefix);
+    auto index = mom::ParseHexSuffix(key, mom::kClockKeyPrefix);
     if (!index.ok()) return index.status();
     auto blob = store.Get(key);
     if (!blob.has_value()) {
@@ -313,7 +282,7 @@ Status Coordinator::CutoverStore(mom::Store& store, ServerId self,
     }
     ByteWriter out;
     core->EncodeState(out);
-    store.Put(ClockKey(j), std::move(out).Take());
+    store.Put(mom::ClockKey(j), std::move(out).Take());
   }
   store.Put(kEpochCurrentKey,
             EncodeEpochRecord(EpochRecord{

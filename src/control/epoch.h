@@ -14,9 +14,10 @@
 // stores alone -- the coordinator object that wrote the proposal may
 // have crashed with the rest of the process.
 //
+// The key names belong to the store schema (mom/store_schema.h).
 // mom::AgentServer reads only the leading varint of epoch/current (to
-// cross-check its boot epoch) through a duplicated key literal; the
-// full codec lives here so mom never depends on control.
+// cross-check its boot epoch); the full codec lives here so mom never
+// depends on control.
 #pragma once
 
 #include <cstdint>
@@ -27,11 +28,12 @@
 #include "common/bytes.h"
 #include "common/status.h"
 #include "mom/store.h"
+#include "mom/store_schema.h"
 
 namespace cmom::control {
 
-inline constexpr std::string_view kEpochCurrentKey = "epoch/current";
-inline constexpr std::string_view kEpochPendingKey = "epoch/pending";
+using mom::kEpochCurrentKey;
+using mom::kEpochPendingKey;
 
 struct EpochRecord {
   std::uint64_t epoch = 0;

@@ -2,106 +2,15 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <future>
 #include <utility>
 
 #include "common/buffer_pool.h"
 #include "common/log.h"
 #include "flow/admission.h"
+#include "mom/store_schema.h"
 
 namespace cmom::mom {
-
-namespace {
-constexpr std::string_view kMetaKey = "meta";
-// Legacy monolithic blobs (PersistMode::kFullImage).  A store written
-// under these keys is migrated to the per-entry schema once, on the
-// first incremental Boot.
-constexpr std::string_view kLegacyClocksKey = "channel/clocks";
-constexpr std::string_view kLegacyQueueOutKey = "channel/qout";
-constexpr std::string_view kLegacyQueueInKey = "engine/qin";
-constexpr std::string_view kLegacyHoldbackKey = "channel/holdback";
-// Incremental per-entry schema.  Fixed-width hex suffixes keep
-// Store::Keys(prefix) ordering aligned with numeric ordering.
-constexpr std::string_view kClockKeyPrefix = "clk/";
-// Written by the control plane (control/epoch.h owns the record format:
-// varint epoch, then the config text).  The server only reads the
-// leading varint, to refuse booting against a store whose epoch
-// disagrees with its options -- mom must not depend on control.
-constexpr std::string_view kEpochCurrentKey = "epoch/current";
-constexpr std::string_view kQueueOutKeyPrefix = "qout/";
-constexpr std::string_view kQueueInKeyPrefix = "qin/";
-constexpr std::string_view kHoldKeyPrefix = "hold/";
-constexpr std::string_view kAgentKeyPrefix = "agent/";
-// Forwarded messages parked in the router's DRR staging queue
-// (src/flow): written in the same transaction as the delivery that
-// produced them, deleted when ForwardStep stamps them onward.
-constexpr std::string_view kFwdKeyPrefix = "fwd/";
-
-std::string AgentKey(std::uint32_t local_id) {
-  return std::string(kAgentKeyPrefix) + std::to_string(local_id);
-}
-
-void AppendHex(std::string& out, std::uint64_t value, int digits) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%0*llx", digits,
-                static_cast<unsigned long long>(value));
-  out += buf;
-}
-
-std::string ClockKey(std::size_t deployment_index) {
-  std::string key(kClockKeyPrefix);
-  AppendHex(key, deployment_index, 4);
-  return key;
-}
-
-std::string OutKey(MessageId id) {
-  std::string key(kQueueOutKeyPrefix);
-  AppendHex(key, id.origin.value(), 4);
-  AppendHex(key, id.seq, 16);
-  return key;
-}
-
-std::string InKey(std::uint64_t seq) {
-  std::string key(kQueueInKeyPrefix);
-  AppendHex(key, seq, 16);
-  return key;
-}
-
-std::string FwdKey(std::uint64_t seq) {
-  std::string key(kFwdKeyPrefix);
-  AppendHex(key, seq, 16);
-  return key;
-}
-
-std::string HoldKey(std::size_t deployment_index, MessageId id) {
-  std::string key(kHoldKeyPrefix);
-  AppendHex(key, deployment_index, 4);
-  key += '/';
-  AppendHex(key, id.origin.value(), 4);
-  AppendHex(key, id.seq, 16);
-  return key;
-}
-
-Result<std::uint64_t> ParseHexSuffix(std::string_view key,
-                                     std::string_view prefix) {
-  std::uint64_t value = 0;
-  std::string_view digits = key.substr(prefix.size());
-  if (digits.empty()) return Status::DataLoss("empty store key suffix");
-  for (char c : digits) {
-    std::uint64_t nibble = 0;
-    if (c >= '0' && c <= '9') {
-      nibble = static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      nibble = static_cast<std::uint64_t>(c - 'a') + 10;
-    } else {
-      return Status::DataLoss("bad hex digit in store key");
-    }
-    value = (value << 4) | nibble;
-  }
-  return value;
-}
-}  // namespace
 
 // Buffers the sends an agent makes during React; they are committed
 // atomically with the reaction by the Engine.
@@ -262,18 +171,12 @@ Status AgentServer::Boot() {
 
     // Parallel engine eligibility (see header comment): needs a
     // threaded runtime (MakeExecutor on SimRuntime returns nullptr,
-    // keeping simulated traces bit-identical) and incremental
-    // persistence (a full image written mid-pipeline would record an
-    // empty QueueIN while reactions are in flight on the shards).
+    // keeping simulated traces bit-identical).
     if (options_.engine_workers > 0) {
       if (options_.cost_model != nullptr) {
         CMOM_LOG(kWarning)
             << to_string(self_)
             << ": cost model configured; parallel engine disabled";
-      } else if (!incremental()) {
-        CMOM_LOG(kWarning)
-            << to_string(self_)
-            << ": full-image persistence; parallel engine disabled";
       } else {
         executor_ = runtime_->MakeExecutor(options_.engine_workers);
         if (executor_ != nullptr) {
@@ -544,7 +447,7 @@ std::size_t AgentServer::ProcessDataFrame(ServerId from, DataFrame frame) {
   // accepted/advertised numbering restarts with it.  Observed for every
   // frame -- duplicates included -- so the ack echo below always names
   // the incarnation the grant was computed against.
-  if (options_.flow.enabled && frame.incarnation != 0) {
+  if (options_.flow.enabled) {
     ReceiverLink(from).ObserveSession(frame.incarnation);
   }
   // A frame from a dead incarnation (reordered past the sender's
@@ -553,8 +456,7 @@ std::size_t AgentServer::ProcessDataFrame(ServerId from, DataFrame frame) {
   // would widen its window permanently.
   const bool counts_for_credit =
       options_.flow.enabled &&
-      (frame.incarnation == 0 ||
-       frame.incarnation == ReceiverLink(from).sender_session());
+      frame.incarnation == ReceiverLink(from).sender_session();
 
   const MessageId message_id = frame.message.id;
   std::size_t entries = 0;
@@ -639,11 +541,11 @@ std::size_t AgentServer::CommitDelivery(DomainItem& item,
   // ACROSS source domains is causally safe -- two messages staged at
   // this router concurrently are causally concurrent (a successor
   // cannot arrive before its predecessor left) -- and FIFO per source
-  // queue preserves order within each domain.  Needs incremental
-  // persistence: the fwd/ record rides the delivery's own transaction,
-  // so a crash between delivery and forward recovers the staged
-  // message instead of losing an acked frame.
-  if (options_.flow.enabled && incremental()) {
+  // queue preserves order within each domain.  The fwd/ record rides
+  // the delivery's own transaction, so a crash between delivery and
+  // forward recovers the staged message instead of losing an acked
+  // frame.
+  if (options_.flow.enabled) {
     StageForward(item.id, std::move(frame.message));
     return 0;
   }
@@ -671,27 +573,19 @@ std::size_t AgentServer::ProcessAck(ServerId from, const AckFrame& ack) {
     queue_out_index_.erase(it);
     commit_needed_ = true;
   }
-  if (options_.flow.enabled && ack.has_credit) {
-    bool opened = false;
-    if (ack.has_session) {
-      // A grant computed against a previous incarnation of THIS server
-      // is numbered for a dead admission count -- adopting it after a
-      // reboot would hand this link an effectively unbounded window.
-      // Dropped; retransmissions (or the credit probe) solicit a fresh
-      // grant once the peer has seen a frame from this incarnation.
-      // The retirement loop above already resolved this ack's own ids,
-      // so the link's in-flight count and the peer's accepted count are
-      // aligned for the reconciliation.
-      if (ack.echo == incarnation_ &&
-          SenderLink(from).Reconcile(ack.session, ack.accepted, ack.credit)) {
-        opened = true;
-      }
-    } else if (SenderLink(from).Grant(ack.credit)) {
-      // Sessionless grant (pre-session peer): taken monotonically, so
-      // lost or reordered acks only delay the window, never shrink it.
-      opened = true;
-    }
-    if (opened) ReleaseBlocked(from, /*force=*/false);
+  // A grant always rides with the session trio (FlushStagedAcks,
+  // MaybeReplenishCredits).  One computed against a previous
+  // incarnation of THIS server is numbered for a dead admission count
+  // -- adopting it after a reboot would hand this link an effectively
+  // unbounded window.  Dropped; retransmissions (or the credit probe)
+  // solicit a fresh grant once the peer has seen a frame from this
+  // incarnation.  The retirement loop above already resolved this ack's
+  // own ids, so the link's in-flight count and the peer's accepted
+  // count are aligned for the reconciliation.
+  if (options_.flow.enabled && ack.has_credit && ack.has_session &&
+      ack.echo == incarnation_ &&
+      SenderLink(from).Reconcile(ack.session, ack.accepted, ack.credit)) {
+    ReleaseBlocked(from, /*force=*/false);
   }
   return 0;
 }
@@ -980,13 +874,6 @@ std::size_t AgentServer::EnqueueStampedLocked(OutEntry entry) {
   queue_out_.push_back(std::move(entry));
   queue_out_index_.emplace(id, std::prev(queue_out_.end()));
 
-  // During recovery (the full-image downgrade fold runs before Boot
-  // finishes) the Boot resume pass owns emission and retransmission for
-  // every QueueOUT entry: emitting or credit-gating here would
-  // double-emit whatever a later grant releases and skew the admitted
-  // accounting, so the entry just lands in the queue.
-  if (!booted_) return entries;
-
   // Credit gate (src/flow): only the FIRST emission consumes a credit.
   // A blocked message is already stamped and durable in QueueOUT -- the
   // pause is indistinguishable from a slow network, so causal order and
@@ -1207,6 +1094,7 @@ void AgentServer::MaybeReplenishCredits() {
     ack.has_session = true;
     ack.session = incarnation_;
     ack.echo = link.sender_session();
+    ack.accepted = link.accepted();
     ++stats_.ack_frames_sent;
     EmitFrame(peer, ack.Serialize());
   }
@@ -1609,16 +1497,6 @@ void AgentServer::PersistMeta() {
 }
 
 void AgentServer::PersistClocks(bool force) {
-  if (!incremental()) {
-    ByteWriter out;
-    out.WriteVarU64(items_.size());
-    for (const DomainItem& item : items_) {
-      out.WriteVarU64(item.deployment_index);
-      item.core->EncodeState(out);
-    }
-    StorePut(kLegacyClocksKey, std::move(out).Take());
-    return;
-  }
   for (DomainItem& item : items_) {
     if (!force && item.persisted_clock_version == item.core->version()) {
       continue;
@@ -1630,40 +1508,6 @@ void AgentServer::PersistClocks(bool force) {
   }
 }
 
-void AgentServer::PersistQueueOut() {
-  ByteWriter out;
-  out.WriteVarU64(queue_out_.size());
-  for (const OutEntry& entry : queue_out_) {
-    entry.message.Encode(out);
-    out.WriteU16(entry.next_hop.value());
-    out.WriteU16(entry.domain.value());
-    entry.stamp.Encode(out);
-  }
-  StorePut(kLegacyQueueOutKey, std::move(out).Take());
-}
-
-void AgentServer::PersistQueueIn() {
-  ByteWriter out;
-  out.WriteVarU64(queue_in_.size());
-  for (const InEntry& entry : queue_in_) entry.message.Encode(out);
-  StorePut(kLegacyQueueInKey, std::move(out).Take());
-}
-
-void AgentServer::PersistHoldback() {
-  ByteWriter out;
-  std::size_t total = 0;
-  for (const DomainItem& item : items_) total += item.holdback.size();
-  out.WriteVarU64(total);
-  for (const DomainItem& item : items_) {
-    for (const HeldFrame& held : item.holdback.pending()) {
-      out.WriteVarU64(item.deployment_index);
-      out.WriteU16(held.src_local.value());
-      out.WriteBytes(held.frame.Serialize());
-    }
-  }
-  StorePut(kLegacyHoldbackKey, std::move(out).Take());
-}
-
 void AgentServer::PersistAgent(std::uint32_t local_id) {
   auto it = agents_.find(local_id);
   if (it == agents_.end()) return;
@@ -1673,7 +1517,6 @@ void AgentServer::PersistAgent(std::uint32_t local_id) {
 }
 
 void AgentServer::PersistOutEntry(const OutEntry& entry) {
-  if (!incremental()) return;
   ByteWriter out;
   out.WriteVarU64(entry.enqueue_seq);
   entry.message.Encode(out);
@@ -1684,26 +1527,22 @@ void AgentServer::PersistOutEntry(const OutEntry& entry) {
 }
 
 void AgentServer::EraseOutEntry(const OutEntry& entry) {
-  if (!incremental()) return;
   StoreDelete(OutKey(entry.message.id));
 }
 
 void AgentServer::PersistInEntry(const InEntry& entry) {
-  if (!incremental()) return;
   ByteWriter out;
   entry.message.Encode(out);
   StorePut(InKey(entry.seq), std::move(out).Take());
 }
 
 void AgentServer::EraseInEntry(const InEntry& entry) {
-  if (!incremental()) return;
   StoreDelete(InKey(entry.seq));
 }
 
 void AgentServer::PersistHeldFrame(const DomainItem& item,
                                    const HeldFrame& held,
                                    std::uint64_t arrival_seq) {
-  if (!incremental()) return;
   ByteWriter out;
   out.WriteVarU64(arrival_seq);
   out.WriteU16(held.src_local.value());
@@ -1713,28 +1552,16 @@ void AgentServer::PersistHeldFrame(const DomainItem& item,
 }
 
 void AgentServer::EraseHeldFrame(const DomainItem& item, MessageId id) {
-  if (!incremental()) return;
   StoreDelete(HoldKey(item.deployment_index, id));
 }
 
-// One transaction: in full-image mode, the persistent image of the
-// whole channel + engine state (the matrix clocks dominating its size,
-// as in the paper); in incremental mode, only the delta -- dirty domain
-// clocks, the bumped meta counter, and whatever per-entry queue keys
-// the transaction staged on its way here.
+// One transaction: only the delta -- dirty domain clocks, the bumped
+// meta counter, and whatever per-entry queue keys the transaction
+// staged on its way here -- so commit bytes stay O(1) in the backlog.
 Status AgentServer::CommitLocked() {
   if (!halt_status_.ok()) return halt_status_;
-  if (incremental()) {
-    PersistMeta();
-    PersistClocks(/*force=*/false);
-  } else {
-    meta_dirty_ = true;  // full image rewrites everything, every commit
-    PersistMeta();
-    PersistClocks(/*force=*/true);
-    PersistQueueOut();
-    PersistQueueIn();
-    PersistHoldback();
-  }
+  PersistMeta();
+  PersistClocks(/*force=*/false);
   if (txn_ops_staged_ == 0) {  // nothing changed durable state
     FlushTraceLocked();
     return Status::Ok();
@@ -1821,56 +1648,26 @@ Status AgentServer::RecoverLocked() {
     // Fresh server: write the initial durable image.
     incarnation_ = 1;
     meta_dirty_ = true;
-    if (incremental()) PersistClocks(/*force=*/true);
+    PersistClocks(/*force=*/true);
     return CommitLocked();
   }
   {
     ByteReader in(*meta);
     auto seq = in.ReadVarU64();
     if (!seq.ok()) return seq.status();
+    auto boots = in.ReadVarU64();
+    if (!boots.ok()) return boots.status();
+    if (!in.exhausted()) return Status::DataLoss("trailing bytes in meta");
     next_msg_seq_ = seq.value();
-    // Boot counter; absent in pre-flow meta records.  Bumping it -- and
-    // committing the bump below, before any frame leaves -- is what
-    // lets peers distinguish this incarnation's credit numbering from
-    // the previous life's (src/flow/credits.h).
-    std::uint64_t boots = 0;
-    if (!in.exhausted()) {
-      auto stored = in.ReadVarU64();
-      if (!stored.ok()) return stored.status();
-      boots = stored.value();
-    }
-    incarnation_ = boots + 1;
+    // Bumping the boot counter -- and committing the bump below, before
+    // any frame leaves -- is what lets peers distinguish this
+    // incarnation's credit numbering from the previous life's
+    // (src/flow/credits.h).
+    incarnation_ = boots.value() + 1;
     meta_dirty_ = true;
   }
 
-  const bool legacy_present = store_->Get(kLegacyClocksKey).has_value() ||
-                              store_->Get(kLegacyQueueOutKey).has_value() ||
-                              store_->Get(kLegacyQueueInKey).has_value() ||
-                              store_->Get(kLegacyHoldbackKey).has_value();
-  if (legacy_present) {
-    CMOM_RETURN_IF_ERROR(RecoverLegacyLocked());
-    if (incremental()) CMOM_RETURN_IF_ERROR(MigrateToIncrementalLocked());
-  } else {
-    CMOM_RETURN_IF_ERROR(RecoverIncrementalLocked());
-    if (!incremental()) {
-      // Downgrade (tests / baseline measurements): fold the per-entry
-      // keys back into the monolithic blobs.  Staged forwards cannot be
-      // represented in the full image, so they are stamped into
-      // QueueOUT right here (the emission below is covered by the Boot
-      // resume pass over queue_out_).
-      forward_stage_.Drain(
-          forward_stage_.size(),
-          [&](DomainId, ForwardEntry&& staged) {
-            StampAndEnqueue(std::move(staged.message));
-          });
-      for (std::string_view prefix :
-           {kClockKeyPrefix, kQueueOutKeyPrefix, kQueueInKeyPrefix,
-            kHoldKeyPrefix, kFwdKeyPrefix}) {
-        for (const std::string& key : store_->Keys(prefix)) StoreDelete(key);
-      }
-      CMOM_RETURN_IF_ERROR(CommitLocked());
-    }
-  }
+  CMOM_RETURN_IF_ERROR(RecoverEntriesLocked());
 
   for (auto& [local_id, agent] : agents_) {
     if (auto blob = store_->Get(AgentKey(local_id))) {
@@ -1878,107 +1675,11 @@ Status AgentServer::RecoverLocked() {
       CMOM_RETURN_IF_ERROR(agent->DecodeState(in));
     }
   }
-  // Make the incarnation bump durable before Boot emits any frame (the
-  // downgrade path above may have committed it already).
-  if (meta_dirty_) return CommitLocked();
-  return Status::Ok();
+  // Make the incarnation bump durable before Boot emits any frame.
+  return CommitLocked();
 }
 
-Status AgentServer::RecoverLegacyLocked() {
-  if (auto blob = store_->Get(kLegacyClocksKey)) {
-    ByteReader in(*blob);
-    auto count = in.ReadVarU64();
-    if (!count.ok()) return count.status();
-    for (std::uint64_t i = 0; i < count.value(); ++i) {
-      auto index = in.ReadVarU64();
-      if (!index.ok()) return index.status();
-      auto core = clocks::DecodeCausalCoreState(in);
-      if (!core.ok()) return core.status();
-      bool found = false;
-      for (DomainItem& item : items_) {
-        if (item.deployment_index == index.value()) {
-          if (core.value()->kind() != item.core->kind()) {
-            return Status::FailedPrecondition(
-                "store holds a " +
-                std::string(clocks::CausalCoreKindName(core.value()->kind())) +
-                " core for " + to_string(item.id) + " but the config runs " +
-                std::string(clocks::CausalCoreKindName(item.core->kind())));
-          }
-          item.core = std::move(core).value();
-          item.persisted_clock_version = item.core->version();
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        return Status::DataLoss("recovered clock for unknown domain index");
-      }
-    }
-  }
-  if (auto blob = store_->Get(kLegacyQueueOutKey)) {
-    ByteReader in(*blob);
-    auto count = in.ReadVarU64();
-    if (!count.ok()) return count.status();
-    for (std::uint64_t i = 0; i < count.value(); ++i) {
-      OutEntry entry;
-      auto message = Message::Decode(in);
-      if (!message.ok()) return message.status();
-      entry.message = std::move(message).value();
-      auto hop = in.ReadU16();
-      if (!hop.ok()) return hop.status();
-      entry.next_hop = ServerId(hop.value());
-      auto domain = in.ReadU16();
-      if (!domain.ok()) return domain.status();
-      entry.domain = DomainId(domain.value());
-      auto stamp = clocks::Stamp::Decode(in);
-      if (!stamp.ok()) return stamp.status();
-      entry.stamp = std::move(stamp).value();
-      entry.enqueue_seq = next_out_enqueue_seq_++;
-      const MessageId id = entry.message.id;
-      queue_out_.push_back(std::move(entry));
-      queue_out_index_.emplace(id, std::prev(queue_out_.end()));
-    }
-  }
-  if (auto blob = store_->Get(kLegacyQueueInKey)) {
-    ByteReader in(*blob);
-    auto count = in.ReadVarU64();
-    if (!count.ok()) return count.status();
-    for (std::uint64_t i = 0; i < count.value(); ++i) {
-      auto message = Message::Decode(in);
-      if (!message.ok()) return message.status();
-      queue_in_.push_back(InEntry{next_in_seq_++, std::move(message).value()});
-    }
-  }
-  if (auto blob = store_->Get(kLegacyHoldbackKey)) {
-    ByteReader in(*blob);
-    auto count = in.ReadVarU64();
-    if (!count.ok()) return count.status();
-    for (std::uint64_t i = 0; i < count.value(); ++i) {
-      auto index = in.ReadVarU64();
-      if (!index.ok()) return index.status();
-      auto src = in.ReadU16();
-      if (!src.ok()) return src.status();
-      auto frame_bytes = in.ReadBytes();
-      if (!frame_bytes.ok()) return frame_bytes.status();
-      auto frame = DataFrame::Deserialize(frame_bytes.value());
-      if (!frame.ok()) return frame.status();
-      bool placed = false;
-      for (DomainItem& item : items_) {
-        if (item.deployment_index == index.value()) {
-          item.held_ids.insert(frame.value().message.id);
-          item.holdback.Push(HeldFrame{DomainServerId(src.value()),
-                                       std::move(frame).value()});
-          placed = true;
-          break;
-        }
-      }
-      if (!placed) return Status::DataLoss("held frame for unknown domain");
-    }
-  }
-  return Status::Ok();
-}
-
-Status AgentServer::RecoverIncrementalLocked() {
+Status AgentServer::RecoverEntriesLocked() {
   for (const std::string& key : store_->Keys(kClockKeyPrefix)) {
     auto index = ParseHexSuffix(key, kClockKeyPrefix);
     if (!index.ok()) return index.status();
@@ -2131,25 +1832,6 @@ Status AgentServer::RecoverIncrementalLocked() {
     hold.item->holdback.Push(std::move(hold.held));
   }
   return Status::Ok();
-}
-
-Status AgentServer::MigrateToIncrementalLocked() {
-  CMOM_LOG(kInfo) << to_string(self_)
-                  << ": migrating full-image store to incremental schema";
-  StoreDelete(kLegacyClocksKey);
-  StoreDelete(kLegacyQueueOutKey);
-  StoreDelete(kLegacyQueueInKey);
-  StoreDelete(kLegacyHoldbackKey);
-  meta_dirty_ = true;
-  PersistClocks(/*force=*/true);
-  for (const OutEntry& entry : queue_out_) PersistOutEntry(entry);
-  for (const InEntry& entry : queue_in_) PersistInEntry(entry);
-  for (const DomainItem& item : items_) {
-    for (const HeldFrame& held : item.holdback.pending()) {
-      PersistHeldFrame(item, held, next_hold_seq_++);
-    }
-  }
-  return CommitLocked();
 }
 
 // ---------------------------------------------------------------------

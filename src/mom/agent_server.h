@@ -28,15 +28,12 @@
 // still atomic, so exactly-once causal delivery is unaffected; under
 // load the commit (and ack) count per message drops toward 1/batch.
 //
-// Persistence is incremental (PersistMode::kIncremental, the default):
-// QueueOUT, QueueIN and the hold-back queues live under per-entry store
-// keys written and deleted individually, and each domain's clock image
-// is rewritten only when its version advanced -- so commit bytes per
-// message are O(1) in the backlog instead of O(backlog), the disk-layer
-// analogue of the Appendix A delta stamps.  PersistMode::kFullImage
-// keeps the historical whole-image rewrite for baseline measurements;
-// a store written by it is migrated to the incremental schema once, on
-// the first incremental Boot.
+// Persistence is incremental (mom/store_schema.h): QueueOUT, QueueIN,
+// the hold-back queues and the router's staged forwards live under
+// per-entry store keys written and deleted individually, and each
+// domain's clock image is rewritten only when its version advanced --
+// so commit bytes per message are O(1) in the backlog instead of
+// O(backlog), the disk-layer analogue of the Appendix A delta stamps.
 //
 // Unacknowledged QueueOUT entries are retransmitted with their original
 // stamp; the receiver's clock check recognizes and drops duplicates, so
@@ -80,9 +77,7 @@
 //
 // engine_workers = 0 (the default) keeps the historical inline engine;
 // simulated runs always use it (SimRuntime::MakeExecutor returns
-// nullptr), so CostModel traces stay bit-identical.  The parallel
-// engine requires PersistMode::kIncremental: full-image commits cannot
-// represent reactions that are in flight outside queue_in_.
+// nullptr), so CostModel traces stay bit-identical.
 #pragma once
 
 #include <algorithm>
@@ -121,11 +116,6 @@
 
 namespace cmom::mom {
 
-enum class PersistMode : std::uint8_t {
-  kIncremental = 0,  // per-entry keys + dirty-flagged clock images
-  kFullImage = 1,    // historical monolithic blobs, rewritten per commit
-};
-
 struct AgentServerOptions {
   // Non-null enables simulated processing costs (see header comment).
   const net::CostModel* cost_model = nullptr;
@@ -135,8 +125,6 @@ struct AgentServerOptions {
   std::uint64_t retransmit_timeout_ns = 500ull * 1000 * 1000;
   // Safety valve for runaway retransmission (0 = unlimited).
   std::uint32_t max_retransmit_attempts = 0;
-  // Durable-image layout (see header comment).
-  PersistMode persist_mode = PersistMode::kIncremental;
   // Max QueueIN messages reacted to per Engine work item (one commit).
   std::size_t engine_batch = 16;
   // Max inbox frames processed per Channel work item (one commit, acks
@@ -144,8 +132,8 @@ struct AgentServerOptions {
   std::size_t channel_batch = 16;
   // Engine shard workers (see header comment).  0 = historical inline
   // engine.  >0 requires a runtime whose MakeExecutor returns real
-  // threads (ThreadRuntime) and PersistMode::kIncremental; otherwise
-  // the server falls back to inline mode at Boot.
+  // threads (ThreadRuntime); otherwise the server falls back to inline
+  // mode at Boot.
   std::size_t engine_workers = 0;
   // Config epoch this server runs under (src/control reconfiguration).
   // Stamped into every outgoing DataFrame; frames from a different
@@ -162,8 +150,7 @@ struct AgentServerOptions {
   std::uint64_t ack_coalesce_ns = 0;
   // End-to-end flow control and overload protection (src/flow): credit
   // windows on server-to-server links, deficit-round-robin forwarding
-  // on routers (requires PersistMode::kIncremental), and engine
-  // admission control for local sends.  Enabled by default with
+  // on routers, and engine admission control for local sends.  Enabled by default with
   // watermarks generous enough to be invisible under nominal load;
   // flow.enabled = false reproduces the historical unbounded behavior.
   flow::FlowOptions flow;
@@ -376,10 +363,11 @@ class AgentServer {
   ActiveCores() const;
 
   // Canonical serialization of the volatile channel + engine image
-  // (meta, clocks, QueueOUT, QueueIN, hold-back queues, in order).
-  // Test hook: two servers that must be in equivalent states -- e.g.
-  // recovered from a full-image store vs an incremental one after
-  // identical deterministic traffic -- must produce identical bytes.
+  // (next message seq, clocks, QueueOUT, QueueIN, hold-back queues, in
+  // order).  Test hook: two servers that must be in equivalent states
+  // -- e.g. one before a crash and the one recovered from its store --
+  // must produce identical bytes.  bench/commit_path prices a
+  // whole-image rewrite per commit from its size.
   [[nodiscard]] Bytes DebugImage() const;
 
  private:
@@ -523,8 +511,7 @@ class AgentServer {
   void MaybeReplenishCredits();
   // Router fair scheduling: parks a forwarded message in the per-source
   // DRR staging queue, persisted under its fwd/ key in the SAME
-  // transaction as the delivery that produced it.  Incremental mode
-  // only.
+  // transaction as the delivery that produced it.
   void StageForward(DomainId source, Message message);
   // Work item draining the DRR staging queue: stamps each released
   // message toward its next hop and deletes its fwd/ key, one commit
@@ -591,22 +578,15 @@ class AgentServer {
   // to queue_in_ (inline).  Shared by Channel delivery and local sends.
   void EnqueueLocalDelivery(Message message);
 
-  // --- persistence ----------------------------------------------------
-  [[nodiscard]] bool incremental() const {
-    return options_.persist_mode == PersistMode::kIncremental;
-  }
+  // --- persistence (mom/store_schema.h) --------------------------------
   // Staging wrappers: route every store mutation through these so
   // CommitLocked knows whether the transaction touched anything.
   void StorePut(std::string_view key, Bytes value);
   void StoreDelete(std::string_view key);
   void PersistMeta();
   void PersistClocks(bool force);
-  void PersistQueueOut();     // full-image mode only
-  void PersistQueueIn();      // full-image mode only
-  void PersistHoldback();     // full-image mode only
   void PersistAgent(std::uint32_t local_id);
-  // Incremental per-entry writes (no-ops in full-image mode, where the
-  // whole queue blob is rewritten by CommitLocked instead).
+  // Per-entry queue writes.
   void PersistOutEntry(const OutEntry& entry);
   void EraseOutEntry(const OutEntry& entry);
   void PersistInEntry(const InEntry& entry);
@@ -615,11 +595,9 @@ class AgentServer {
                         std::uint64_t arrival_seq);
   void EraseHeldFrame(const DomainItem& item, MessageId id);
   [[nodiscard]] Status RecoverLocked();
-  [[nodiscard]] Status RecoverLegacyLocked();
-  [[nodiscard]] Status RecoverIncrementalLocked();
-  // One-shot schema migration: deletes the legacy monolithic blobs and
-  // writes the recovered state under per-entry keys.
-  [[nodiscard]] Status MigrateToIncrementalLocked();
+  // Rebuilds clocks, QueueOUT, QueueIN, the DRR stage and the hold-back
+  // queues from their per-entry records.
+  [[nodiscard]] Status RecoverEntriesLocked();
   // Commits the staged transaction.  On a store failure the server
   // FAIL-STOPS (FailStopLocked) and the halt status is returned; the
   // in-memory state that was never persisted must not keep running, or

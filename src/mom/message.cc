@@ -68,11 +68,8 @@ void DataFrame::SerializeInto(ByteWriter& out) const {
   out.WriteU16(domain.value());
   out.WriteVarU64(epoch);
   stamp.Encode(out);
-  // Optional trailers: incarnation (flow restart detection) then the
-  // causal-core tag.  0 = absent for both, keeping matrix-core frames
-  // byte-identical to the pre-flow/pre-core layout; a non-zero core tag
-  // needs the incarnation slot filled so decode stays positional.
-  if (incarnation != 0 || core_tag != 0) out.WriteVarU64(incarnation);
+  out.WriteVarU64(incarnation);
+  // Optional trailer, absent for the matrix core (tag 0).
   if (core_tag != 0) out.WriteVarU64(core_tag);
 }
 
@@ -109,25 +106,24 @@ Result<DataFrame> DataFrame::Deserialize(std::span<const std::uint8_t> bytes) {
   if (!epoch.ok()) return epoch.status();
   auto stamp = clocks::Stamp::Decode(in);
   if (!stamp.ok()) return stamp.status();
+  auto incarnation = in.ReadVarU64();
+  if (!incarnation.ok()) return incarnation.status();
   DataFrame frame;
   frame.message = std::move(message).value();
   frame.domain = DomainId(domain.value());
   frame.stamp = std::move(stamp).value();
   frame.epoch = epoch.value();
-  // Pre-flow frames end at the stamp; the first trailer is the sender's
-  // boot incarnation, the second (pre-core frames lack it) the causal
-  // core tag.
-  if (!in.exhausted()) {
-    auto incarnation = in.ReadVarU64();
-    if (!incarnation.ok()) return incarnation.status();
-    frame.incarnation = incarnation.value();
-  }
+  frame.incarnation = incarnation.value();
   if (!in.exhausted()) {
     auto tag = in.ReadVarU64();
     if (!tag.ok()) return tag.status();
-    if (tag.value() > 0xFF) return Status::DataLoss("bad causal core tag");
+    // The matrix core's tag 0 is never written.
+    if (tag.value() == 0 || tag.value() > 0xFF) {
+      return Status::DataLoss("bad causal core tag");
+    }
     frame.core_tag = static_cast<std::uint8_t>(tag.value());
   }
+  if (!in.exhausted()) return Status::DataLoss("trailing bytes in data frame");
   return frame;
 }
 
@@ -136,8 +132,8 @@ Bytes AckFrame::Serialize() const {
   out.WriteU8(static_cast<std::uint8_t>(FrameType::kAck));
   out.WriteVarU32(static_cast<std::uint32_t>(messages.size()));
   for (const MessageId& id : messages) EncodeMessageId(out, id);
-  // Trailing flow-control section, gated on a flags byte: bit 0 the
-  // cumulative grant, bit 1 the restart-renegotiation session/echo pair.
+  // Flow-control section, gated on a flags byte: bit 0 the cumulative
+  // grant, bit 1 the restart-renegotiation session/echo/accepted trio.
   out.WriteU8(static_cast<std::uint8_t>((has_credit ? 1 : 0) |
                                         (has_session ? 2 : 0)));
   if (has_credit) out.WriteVarU64(credit);
@@ -180,30 +176,28 @@ Result<AckFrame> DeserializeAck(std::span<const std::uint8_t> bytes) {
     if (!id.ok()) return id.status();
     ack.messages.push_back(id.value());
   }
-  // Optional trailing flow-control section: frames from pre-flow
-  // encoders end here, so a missing flags byte just means "no credit".
-  if (!in.exhausted()) {
-    auto flags = in.ReadU8();
-    if (!flags.ok()) return flags.status();
-    if ((flags.value() & 1) != 0) {
-      auto credit = in.ReadVarU64();
-      if (!credit.ok()) return credit.status();
-      ack.has_credit = true;
-      ack.credit = credit.value();
-    }
-    if ((flags.value() & 2) != 0) {
-      auto session = in.ReadVarU64();
-      if (!session.ok()) return session.status();
-      auto echo = in.ReadVarU64();
-      if (!echo.ok()) return echo.status();
-      auto accepted = in.ReadVarU64();
-      if (!accepted.ok()) return accepted.status();
-      ack.has_session = true;
-      ack.session = session.value();
-      ack.echo = echo.value();
-      ack.accepted = accepted.value();
-    }
+  auto flags = in.ReadU8();
+  if (!flags.ok()) return flags.status();
+  if ((flags.value() & ~3u) != 0) return Status::DataLoss("bad ack flags");
+  if ((flags.value() & 1) != 0) {
+    auto credit = in.ReadVarU64();
+    if (!credit.ok()) return credit.status();
+    ack.has_credit = true;
+    ack.credit = credit.value();
   }
+  if ((flags.value() & 2) != 0) {
+    auto session = in.ReadVarU64();
+    if (!session.ok()) return session.status();
+    auto echo = in.ReadVarU64();
+    if (!echo.ok()) return echo.status();
+    auto accepted = in.ReadVarU64();
+    if (!accepted.ok()) return accepted.status();
+    ack.has_session = true;
+    ack.session = session.value();
+    ack.echo = echo.value();
+    ack.accepted = accepted.value();
+  }
+  if (!in.exhausted()) return Status::DataLoss("trailing bytes in ack frame");
   return ack;
 }
 

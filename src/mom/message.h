@@ -53,17 +53,15 @@ struct DataFrame {
   // Sender boot incarnation (durable, monotone boot counter; >= 1 on
   // every live server).  Flow control uses it to detect a restarted
   // sender whose credit admission count started over
-  // (CreditReceiverLink::ObserveSession).  Encoded as an optional
-  // trailing varint: 0 means "absent" and is never written, so pre-flow
-  // frames (and stores holding them) decode unchanged.
+  // (CreditReceiverLink::ObserveSession).  Always encoded, as a varint
+  // after the stamp.
   std::uint64_t incarnation = 0;
-  // Causal core that produced the stamp (clocks::CausalCoreKind).  Tag
-  // 0 -- the matrix core, the only one that predates this field -- is
-  // never written, keeping matrix-core frames byte-identical to
-  // pre-core ones.  A non-zero tag forces the incarnation varint out
-  // (even when 0) so the two trailers stay positionally unambiguous.
-  // Receivers fence frames whose tag differs from the domain's active
-  // core the same way epoch mismatches are fenced: drop without acking.
+  // Causal core that produced the stamp (clocks::CausalCoreKind).  An
+  // optional trailer after the incarnation, written only for non-matrix
+  // cores: tag 0 (the matrix core) is never written, so matrix-core
+  // frames pay no byte for it.  Receivers fence frames whose tag
+  // differs from the domain's active core the same way epoch
+  // mismatches are fenced: drop without acking.
   std::uint8_t core_tag = 0;
 
   friend bool operator==(const DataFrame&, const DataFrame&) = default;
@@ -89,9 +87,8 @@ struct AckFrame {
   // Piggybacked flow-control grant: the CUMULATIVE number of frames the
   // acking server is willing to have admitted on the (peer -> self)
   // link (src/flow/credits.h).  Cumulative and monotone, so a lost or
-  // reordered ack never shrinks the sender's window.  Optional on the
-  // wire: a trailing flags byte distinguishes frames with and without
-  // it, so pre-flow frames decode unchanged.
+  // reordered ack never shrinks the sender's window.  A flags byte
+  // after the ids (always present) says which trailers follow.
   bool has_credit = false;
   std::uint64_t credit = 0;
 

@@ -123,11 +123,6 @@ Status QueueAgent::DecodeState(ByteReader& in) {
   auto dispatched = in.ReadVarU64();
   if (!dispatched.ok()) return dispatched.status();
   dispatched_ = dispatched.value();
-  // Absent in pre-flow state images; treat as zero.
-  if (in.exhausted()) {
-    dead_lettered_ = 0;
-    return Status::Ok();
-  }
   auto dead = in.ReadVarU64();
   if (!dead.ok()) return dead.status();
   dead_lettered_ = dead.value();

@@ -41,9 +41,8 @@ struct SimHarnessOptions {
   std::uint64_t retransmit_timeout_ns = 500ull * 1000 * 1000;
   // 0 = retry forever (the default, matching the reliable bus).
   std::uint32_t max_retransmit_attempts = 0;
-  // Durable-image layout and batching limits, forwarded to every
-  // server (see AgentServerOptions).
-  mom::PersistMode persist_mode = mom::PersistMode::kIncremental;
+  // Batching limits, forwarded to every server (see
+  // AgentServerOptions).
   std::size_t engine_batch = 16;
   std::size_t channel_batch = 16;
   // Forwarded to AgentServerOptions::engine_workers.  Under SimRuntime
@@ -84,13 +83,6 @@ class SimHarness {
   void Crash(ServerId id);
   // Rebuild a crashed server from its store and boot it.
   [[nodiscard]] Status Restart(ServerId id);
-
-  // Changes the persist mode used by subsequent Restart() calls --
-  // simulating a software upgrade across a crash (the store-schema
-  // migration path).
-  void set_persist_mode(mom::PersistMode mode) {
-    options_.persist_mode = mode;
-  }
 
   [[nodiscard]] mom::AgentServer& server(ServerId id) {
     return *servers_.at(id);

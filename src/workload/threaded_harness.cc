@@ -16,7 +16,6 @@ mom::AgentServerOptions ThreadedHarness::ServerOptions(std::uint64_t epoch) {
   mom::AgentServerOptions server_options;
   server_options.trace = &trace_;
   server_options.retransmit_timeout_ns = options_.retransmit_timeout_ns;
-  server_options.persist_mode = options_.persist_mode;
   server_options.engine_batch = options_.engine_batch;
   server_options.channel_batch = options_.channel_batch;
   server_options.engine_workers = options_.engine_workers;

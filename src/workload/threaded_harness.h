@@ -47,9 +47,8 @@ struct ThreadedHarnessOptions {
   // control plane the raw store, so reconfig rewrites (operator
   // actions, not data-path writes) are never fault-injected.
   std::optional<mom::FaultyStoreOptions> store_fault;
-  // Durable-image layout and batching limits, forwarded to every
-  // server (see AgentServerOptions).
-  mom::PersistMode persist_mode = mom::PersistMode::kIncremental;
+  // Batching limits, forwarded to every server (see
+  // AgentServerOptions).
   std::size_t engine_batch = 16;
   std::size_t channel_batch = 16;
   // Engine shard workers per server (0 = inline engine).  The threaded

@@ -26,16 +26,14 @@ namespace {
 using clocks::CausalCoreKind;
 using clocks::CausalCoreKindName;
 using domains::topologies::Flat;
-using mom::PersistMode;
 using workload::SimHarness;
 using workload::SimHarnessOptions;
 using workload::SinkAgent;
 
-SimHarnessOptions FastOptions(PersistMode mode) {
+SimHarnessOptions FastOptions() {
   SimHarnessOptions options;
   options.simulate_processing_costs = false;
   options.retransmit_timeout_ns = 100 * sim::kMillisecond;
-  options.persist_mode = mode;
   return options;
 }
 
@@ -58,10 +56,10 @@ struct ScenarioResult {
   Bytes after;
 };
 
-ScenarioResult RunCrashScenario(CausalCoreKind kind, PersistMode mode) {
+ScenarioResult RunCrashScenario(CausalCoreKind kind) {
   auto config = Flat(3);
   config.causal_core = kind;
-  SimHarness harness(config, FastOptions(mode));
+  SimHarness harness(config, FastOptions());
   auto install = [&](ServerId id, mom::AgentServer& server) {
     if (id == ServerId(1)) {
       server.AttachAgent(1, std::make_unique<SinkAgent>());
@@ -86,20 +84,18 @@ ScenarioResult RunCrashScenario(CausalCoreKind kind, PersistMode mode) {
   result.before = harness.server(ServerId(1)).DebugImage();
   harness.Crash(ServerId(1));
 
-  if (mode == PersistMode::kIncremental) {
-    // The durable clock records are in the core's own format: matrix
-    // images keep the legacy layout (leading self id), other cores
-    // lead with the 0xFFFF sentinel.
-    const auto keys = harness.store(ServerId(1)).Keys("clk/");
-    EXPECT_FALSE(keys.empty());
-    for (const auto& key : keys) {
-      const auto blob = harness.store(ServerId(1)).Get(key);
-      EXPECT_TRUE(blob.has_value());
-      if (!blob.has_value() || blob->size() < 2) continue;
-      const bool sentinel = (*blob)[0] == 0xFF && (*blob)[1] == 0xFF;
-      EXPECT_EQ(sentinel, kind != CausalCoreKind::kMatrix)
-          << CausalCoreKindName(kind) << " wrote the wrong record format";
-    }
+  // The durable clock records are in the core's own format: matrix
+  // images keep the legacy layout (leading self id), other cores lead
+  // with the 0xFFFF sentinel.
+  const auto keys = harness.store(ServerId(1)).Keys("clk/");
+  EXPECT_FALSE(keys.empty());
+  for (const auto& key : keys) {
+    const auto blob = harness.store(ServerId(1)).Get(key);
+    EXPECT_TRUE(blob.has_value());
+    if (!blob.has_value() || blob->size() < 2) continue;
+    const bool sentinel = (*blob)[0] == 0xFF && (*blob)[1] == 0xFF;
+    EXPECT_EQ(sentinel, kind != CausalCoreKind::kMatrix)
+        << CausalCoreKindName(kind) << " wrote the wrong record format";
   }
 
   EXPECT_TRUE(harness.Restart(ServerId(1)).ok());
@@ -114,20 +110,8 @@ ScenarioResult RunCrashScenario(CausalCoreKind kind, PersistMode mode) {
 class CausalCoreRecovery : public ::testing::TestWithParam<CausalCoreKind> {};
 
 TEST_P(CausalCoreRecovery, MidTrafficCrashRestoresTheExactImage) {
-  const ScenarioResult result =
-      RunCrashScenario(GetParam(), PersistMode::kIncremental);
+  const ScenarioResult result = RunCrashScenario(GetParam());
   EXPECT_EQ(result.before, result.after);
-}
-
-TEST_P(CausalCoreRecovery, IncrementalAndFullImageRecoveryAgree) {
-  const ScenarioResult incremental =
-      RunCrashScenario(GetParam(), PersistMode::kIncremental);
-  const ScenarioResult full =
-      RunCrashScenario(GetParam(), PersistMode::kFullImage);
-  // Two disk layouts, one durable state: recovery from either must
-  // rebuild the same server, byte for byte.
-  EXPECT_EQ(incremental.after, full.after);
-  EXPECT_EQ(incremental.before, full.before);
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, CausalCoreRecovery,

@@ -1,12 +1,14 @@
 // Plan-level tests of the control plane: operation helpers, remap
-// derivation, epoch-record round trips, and -- the theorem guard --
-// rejection of cycle-introducing proposals before any store is touched.
+// derivation, epoch-record round trips, the offline cutover's drained
+// check, and -- the theorem guard -- rejection of cycle-introducing
+// proposals before any store is touched.
 #include "control/plan.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "control/coordinator.h"
 #include "control/epoch.h"
 #include "domains/config_io.h"
 
@@ -234,6 +236,36 @@ TEST(EpochRecordCodec, StoreHelpersReadBackWhatWasWritten) {
   auto epoch = CurrentEpochOf(store);
   ASSERT_TRUE(epoch.ok());
   EXPECT_EQ(epoch.value(), 4u);
+}
+
+TEST(CutoverStore, RefusesAStoreHoldingAnyQueueRecord) {
+  // An offline cutover (momtool epoch --cutover) has no live fence to
+  // drain the server, so the store itself must prove it is drained.
+  // One record of each per-message kind, keyed as the server writes
+  // them: QueueOUT, QueueIN, hold-back, and a router's staged forward.
+  const domains::MomConfig old_config = ThreeDomainChain();
+  auto new_config = AddServerToDomain(old_config, ServerId(6), DomainId(2));
+  ASSERT_TRUE(new_config.ok()) << new_config.status();
+  auto plan = ReconfigPlan::Build(0, old_config, new_config.value());
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  for (const char* key :
+       {"qout/00000000000000000001", "qin/0000000000000001",
+        "hold/0000/00000000000000000001", "fwd/0000000000000001"}) {
+    SCOPED_TRACE(key);
+    mom::InMemoryStore store;
+    store.Put(key, Bytes{1});
+    ASSERT_TRUE(store.Commit().ok());
+    const Status status =
+        Coordinator::CutoverStore(store, ServerId(1), plan.value());
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status;
+    EXPECT_EQ(CurrentEpochOf(store).value(), 0u);
+    EXPECT_TRUE(store.Get(key).has_value());
+  }
+  mom::InMemoryStore drained;
+  const Status status =
+      Coordinator::CutoverStore(drained, ServerId(1), plan.value());
+  EXPECT_TRUE(status.ok()) << status;
+  EXPECT_EQ(CurrentEpochOf(drained).value(), 1u);
 }
 
 }  // namespace

@@ -11,17 +11,23 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
+#include "domains/deployment.h"
 #include "domains/topologies.h"
 #include "flow/admission.h"
 #include "flow/credits.h"
 #include "flow/dead_letter.h"
 #include "flow/drr.h"
+#include "mom/agent_server.h"
 #include "mom/message.h"
+#include "mom/store.h"
+#include "net/sim_network.h"
 #include "pubsub/queue.h"
+#include "sim/simulator.h"
 #include "workload/agents.h"
 #include "workload/threaded_harness.h"
 
@@ -504,18 +510,14 @@ TEST(AckFrameCredit, CreditOnlyAckCarriesNoIds) {
   EXPECT_EQ(decoded.value().credit, 42u);
 }
 
-TEST(AckFrameCredit, PreFlowFrameWithoutTrailerDecodesAsNoCredit) {
-  // A frame from a pre-flow encoder ends right after the ids.  The
-  // modern encoder always appends the flags byte, so strip it to
-  // reconstruct the legacy wire image.
+TEST(AckFrameCredit, FrameWithoutFlagsByteIsRejected) {
+  // Every encoder writes the flags byte after the ids; a frame that
+  // ends at the ids is truncated, not "an ack without credit".
   mom::AckFrame ack(MessageId{ServerId(5), 1});
-  Bytes legacy = ack.Serialize();
-  ASSERT_EQ(legacy.back(), 0);  // flags byte: no credit
-  legacy.pop_back();
-  auto decoded = mom::DeserializeAck(legacy);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_FALSE(decoded.value().has_credit);
-  EXPECT_EQ(decoded.value().messages.size(), 1u);
+  Bytes truncated = ack.Serialize();
+  ASSERT_EQ(truncated.back(), 0);  // flags byte: no credit
+  truncated.pop_back();
+  EXPECT_FALSE(mom::DeserializeAck(truncated).ok());
 }
 
 TEST(AckFrameCredit, TruncatedCreditVarintIsDataLoss) {
@@ -1059,6 +1061,136 @@ TEST(FlowEndToEnd, ControlSendQueuesBehindTheSameAgentsParkedDataSends) {
   // Call order survived overload: every data send first, control last.
   EXPECT_EQ(subjects.back(), "topic.unsubscribe");
   for (int i = 0; i < kData; ++i) EXPECT_EQ(subjects[i], "queue.put");
+}
+
+// ---------------------------------------------------------------------
+// Credit-only acks carry the receiver's accepted count
+// ---------------------------------------------------------------------
+
+// Endpoint decorator that watches one peer: counts the distinct data
+// frames received from it and records every id-less ack sent to it,
+// paired with that count at the moment of sending.
+class PeerWatchEndpoint final : public net::Endpoint {
+ public:
+  struct CreditOnlyAck {
+    mom::AckFrame ack;
+    std::uint64_t frames_received = 0;
+  };
+
+  PeerWatchEndpoint(std::unique_ptr<net::Endpoint> inner, ServerId peer)
+      : inner_(std::move(inner)), peer_(peer) {}
+
+  [[nodiscard]] ServerId self() const override { return inner_->self(); }
+
+  Status Send(ServerId to, Bytes frame) override {
+    if (to == peer_ && mom::PeekFrameType(frame).value() == mom::FrameType::kAck) {
+      mom::AckFrame ack = mom::DeserializeAck(frame).value();
+      if (ack.messages.empty()) {
+        credit_only_.push_back(CreditOnlyAck{ack, received_.size()});
+      }
+    }
+    return inner_->Send(to, std::move(frame));
+  }
+
+  void SetReceiveHandler(net::ReceiveHandler handler) override {
+    inner_->SetReceiveHandler(
+        [this, handler = std::move(handler)](ServerId from, Bytes frame) {
+          if (from == peer_ && mom::PeekFrameType(frame).value() ==
+                                   mom::FrameType::kData) {
+            received_.insert(mom::DataFrame::Deserialize(frame).value().message.id);
+          }
+          handler(from, std::move(frame));
+        });
+  }
+
+  [[nodiscard]] const std::vector<CreditOnlyAck>& credit_only() const {
+    return credit_only_;
+  }
+
+ private:
+  std::unique_ptr<net::Endpoint> inner_;
+  ServerId peer_;
+  std::unordered_set<MessageId> received_;
+  std::vector<CreditOnlyAck> credit_only_;
+};
+
+// Forwards every message it receives to `target`.
+class RelayAgent final : public mom::Agent {
+ public:
+  explicit RelayAgent(AgentId target) : target_(target) {}
+  void React(mom::ReactionContext& ctx, const mom::Message& message) override {
+    ctx.Send(target_, "relayed", message.payload);
+  }
+
+ private:
+  AgentId target_;
+};
+
+TEST(FlowEndToEnd, CreditOnlyAcksCarryTheAcceptedCount) {
+  // S0 floods S1, whose agent relays everything to S2 over a slow link.
+  // S1's QueueOUT toward S2 fills its backlog to the high watermark, so
+  // its grants to S0 stop growing and S0 pauses; once S2's acks drain
+  // that QueueOUT below the low watermark, S1 re-opens the window with
+  // credit-only acks.  Each must carry the number of frames S1 has
+  // accepted from S0, the count S0 reconciles its admissions against.
+  const domains::Deployment deployment =
+      domains::Deployment::Create(domains::topologies::Flat(3)).value();
+  sim::Simulator simulator;
+  net::SimRuntime runtime(simulator);
+  net::SimNetwork network(simulator, net::CostModel{});
+  network.SetLinkLatency(ServerId(1), ServerId(2), 500 * sim::kMillisecond);
+
+  mom::AgentServerOptions options;
+  options.retransmit_timeout_ns = 10 * sim::kSecond;
+  options.flow.high_watermark = 8;
+  options.flow.low_watermark = 4;
+  options.flow.initial_credit = 4;
+
+  auto endpoint0 = network.CreateEndpoint(ServerId(0)).value();
+  auto watch = std::make_unique<PeerWatchEndpoint>(
+      network.CreateEndpoint(ServerId(1)).value(), ServerId(0));
+  PeerWatchEndpoint* watched = watch.get();
+  std::unique_ptr<net::Endpoint> endpoint1 = std::move(watch);
+  auto endpoint2 = network.CreateEndpoint(ServerId(2)).value();
+  mom::InMemoryStore store0;
+  mom::InMemoryStore store1;
+  mom::InMemoryStore store2;
+  mom::AgentServer server0(deployment, ServerId(0), endpoint0.get(), &runtime,
+                           &store0, options);
+  mom::AgentServer server1(deployment, ServerId(1), endpoint1.get(), &runtime,
+                           &store1, options);
+  mom::AgentServer server2(deployment, ServerId(2), endpoint2.get(), &runtime,
+                           &store2, options);
+  server1.AttachAgent(1, std::make_unique<RelayAgent>(AgentId{ServerId(2), 1}));
+  auto sink = std::make_unique<workload::SinkAgent>();
+  workload::SinkAgent* sink_ptr = sink.get();
+  server2.AttachAgent(1, std::move(sink));
+  ASSERT_TRUE(server0.Boot().ok());
+  ASSERT_TRUE(server1.Boot().ok());
+  ASSERT_TRUE(server2.Boot().ok());
+
+  constexpr int kMessages = 20;
+  for (int i = 0; i < kMessages; ++i) {
+    ASSERT_TRUE(server0
+                    .SendMessage(AgentId{ServerId(0), 1},
+                                 AgentId{ServerId(1), 1}, "flood")
+                    .ok());
+  }
+  simulator.RunToCompletion();
+
+  EXPECT_EQ(sink_ptr->received(), static_cast<std::uint64_t>(kMessages));
+  EXPECT_GT(server0.stats().credit_blocked, 0u);
+  ASSERT_GT(server1.stats().credit_only_acks, 0u);
+  ASSERT_FALSE(watched->credit_only().empty());
+  for (const PeerWatchEndpoint::CreditOnlyAck& sent : watched->credit_only()) {
+    EXPECT_TRUE(sent.ack.has_credit);
+    EXPECT_TRUE(sent.ack.has_session);
+    EXPECT_GT(sent.frames_received, 0u);
+    EXPECT_EQ(sent.ack.accepted, sent.frames_received);
+  }
+  server0.Shutdown();
+  server1.Shutdown();
+  server2.Shutdown();
 }
 
 }  // namespace

@@ -1,13 +1,13 @@
 // Incremental persistence schema: per-entry store keys, dirty-flagged
-// clock images, legacy-blob migration, and the O(1) duplicate-held
-// check.  The load-bearing property is recovery equivalence: a server
-// recovered from the incremental (delta) image must be byte-identical
-// to one recovered from the monolithic full-image rewrite after
-// identical traffic -- the cheaper commits change the disk layout, not
-// the durable state.
+// clock images, and the O(1) duplicate-held check.  The load-bearing
+// property is exact recovery: a server rebuilt from its per-entry
+// records must be byte-identical (DebugImage) to the server that
+// crashed -- the cheap delta commits lose nothing a whole-image
+// rewrite would have kept.
 #include <gtest/gtest.h>
 
 #include "domains/topologies.h"
+#include "mom/store_schema.h"
 #include "workload/agents.h"
 #include "workload/sim_harness.h"
 
@@ -15,17 +15,15 @@ namespace cmom {
 namespace {
 
 using domains::topologies::Flat;
-using mom::PersistMode;
 using workload::ChatterAgent;
 using workload::SimHarness;
 using workload::SimHarnessOptions;
 using workload::SinkAgent;
 
-SimHarnessOptions FastOptions(PersistMode mode) {
+SimHarnessOptions FastOptions() {
   SimHarnessOptions options;
   options.simulate_processing_costs = false;
   options.retransmit_timeout_ns = 100 * sim::kMillisecond;
-  options.persist_mode = mode;
   return options;
 }
 
@@ -42,18 +40,15 @@ Status VerifyTrace(SimHarness& harness) {
 // Deterministic crash scenario with every queue populated at the crash
 // point: S0 -> S1 slow (m1 in S0's QueueOUT, unacked for 400 ms),
 // m3 (S2 -> S1, causally after m1 via m2's stamp) held back at S1.
-// S1 is crashed mid-traffic and restarted; the snapshot captures each
-// server's volatile image right before the crash and S1's right after
-// recovery.
+// S1 is crashed mid-traffic and restarted; the snapshot captures S1's
+// volatile image right before the crash and right after recovery.
 struct ScenarioResult {
-  Bytes s0_image;
   Bytes s1_image_before;
   Bytes s1_image_after;
-  Bytes s2_image;
 };
 
-ScenarioResult RunCrashScenario(PersistMode mode) {
-  SimHarness harness(Flat(3), FastOptions(mode));
+ScenarioResult RunCrashScenario() {
+  SimHarness harness(Flat(3), FastOptions());
   auto install = [&](ServerId id, mom::AgentServer& server) {
     if (id == ServerId(1)) {
       server.AttachAgent(1, std::make_unique<SinkAgent>());
@@ -74,9 +69,7 @@ ScenarioResult RunCrashScenario(PersistMode mode) {
   EXPECT_GE(harness.server(ServerId(0)).queue_out_size(), 1u);
 
   ScenarioResult result;
-  result.s0_image = harness.server(ServerId(0)).DebugImage();
   result.s1_image_before = harness.server(ServerId(1)).DebugImage();
-  result.s2_image = harness.server(ServerId(2)).DebugImage();
 
   harness.Crash(ServerId(1));
   EXPECT_TRUE(harness.Restart(ServerId(1)).ok());
@@ -89,99 +82,16 @@ ScenarioResult RunCrashScenario(PersistMode mode) {
 }
 
 TEST(IncrementalPersistence, RecoveryRebuildsTheExactPreCrashImage) {
-  const ScenarioResult result = RunCrashScenario(PersistMode::kIncremental);
+  const ScenarioResult result = RunCrashScenario();
   // Everything externally visible was committed first, so the per-entry
   // recovery must rebuild the pre-crash state exactly -- including the
   // QueueOUT order and the held-back frame.
   EXPECT_EQ(result.s1_image_before, result.s1_image_after);
 }
 
-TEST(IncrementalPersistence, RecoveryIsByteIdenticalToFullImageRewrite) {
-  const ScenarioResult incremental =
-      RunCrashScenario(PersistMode::kIncremental);
-  const ScenarioResult full = RunCrashScenario(PersistMode::kFullImage);
-  // The two runs are deterministic and identical on the wire; only the
-  // disk layout differs.  Recovery from either layout must produce the
-  // same server, byte for byte.
-  EXPECT_EQ(incremental.s1_image_after, full.s1_image_after);
-  EXPECT_EQ(incremental.s1_image_before, full.s1_image_before);
-  EXPECT_EQ(incremental.s0_image, full.s0_image);
-  EXPECT_EQ(incremental.s2_image, full.s2_image);
-}
-
-TEST(IncrementalPersistence, LegacyStoreMigratesOnFirstIncrementalBoot) {
-  SimHarness harness(Flat(3), FastOptions(PersistMode::kFullImage));
-  auto install = [&](ServerId id, mom::AgentServer& server) {
-    if (id == ServerId(1)) {
-      server.AttachAgent(1, std::make_unique<SinkAgent>());
-    }
-  };
-  ASSERT_TRUE(harness.Init(install).ok());
-  ASSERT_TRUE(harness.BootAll().ok());
-  harness.network().SetLinkLatency(ServerId(0), ServerId(1),
-                                   400 * sim::kMillisecond);
-
-  ASSERT_TRUE(harness.Send(ServerId(0), 1, ServerId(1), 1, "direct").ok());
-  ASSERT_TRUE(harness.Send(ServerId(0), 1, ServerId(2), 1, "relay").ok());
-  harness.RunUntil(10 * sim::kMillisecond);
-  ASSERT_TRUE(harness.Send(ServerId(2), 1, ServerId(1), 1, "indirect").ok());
-  harness.RunUntil(50 * sim::kMillisecond);
-  ASSERT_EQ(harness.server(ServerId(1)).holdback_size(), 1u);
-
-  // The crashed store holds the legacy monolithic blobs.
-  const Bytes before = harness.server(ServerId(1)).DebugImage();
-  harness.Crash(ServerId(1));
-  ASSERT_TRUE(harness.store(ServerId(1)).Get("channel/holdback").has_value());
-  ASSERT_TRUE(harness.store(ServerId(1)).Get("channel/clocks").has_value());
-
-  // "Upgrade" the software across the crash: the first incremental Boot
-  // migrates the store to per-entry keys, once.
-  harness.set_persist_mode(PersistMode::kIncremental);
-  ASSERT_TRUE(harness.Restart(ServerId(1)).ok());
-
-  EXPECT_EQ(harness.server(ServerId(1)).DebugImage(), before);
-  EXPECT_EQ(harness.server(ServerId(1)).holdback_size(), 1u);
-  EXPECT_FALSE(harness.store(ServerId(1)).Get("channel/clocks").has_value());
-  EXPECT_FALSE(harness.store(ServerId(1)).Get("channel/qout").has_value());
-  EXPECT_FALSE(harness.store(ServerId(1)).Get("engine/qin").has_value());
-  EXPECT_FALSE(harness.store(ServerId(1)).Get("channel/holdback").has_value());
-  EXPECT_EQ(harness.store(ServerId(1)).Keys("hold/").size(), 1u);
-  EXPECT_FALSE(harness.store(ServerId(1)).Keys("clk/").empty());
-
-  // A second crash exercises recovery from the migrated store itself.
-  harness.Crash(ServerId(1));
-  ASSERT_TRUE(harness.Restart(ServerId(1)).ok());
-  EXPECT_EQ(harness.server(ServerId(1)).DebugImage(), before);
-
-  harness.Run();
-  EXPECT_TRUE(VerifyTrace(harness).ok());
-  EXPECT_TRUE(harness.CheckQuiescent().ok());
-}
-
-TEST(IncrementalPersistence, DowngradeFoldsPerEntryKeysBackIntoBlobs) {
-  SimHarness harness(Flat(2), FastOptions(PersistMode::kIncremental));
-  ASSERT_TRUE(harness.Init().ok());
-  ASSERT_TRUE(harness.BootAll().ok());
-  ASSERT_TRUE(harness.Send(ServerId(0), 1, ServerId(1), 1, "a").ok());
-  harness.Run();
-
-  harness.Crash(ServerId(0));
-  harness.set_persist_mode(PersistMode::kFullImage);
-  ASSERT_TRUE(harness.Restart(ServerId(0)).ok());
-  harness.Run();
-
-  EXPECT_TRUE(harness.store(ServerId(0)).Keys("clk/").empty());
-  EXPECT_TRUE(harness.store(ServerId(0)).Keys("qout/").empty());
-  EXPECT_TRUE(harness.store(ServerId(0)).Get("channel/clocks").has_value());
-
-  ASSERT_TRUE(harness.Send(ServerId(0), 1, ServerId(1), 1, "b").ok());
-  harness.Run();
-  EXPECT_TRUE(VerifyTrace(harness).ok());
-}
-
 TEST(IncrementalPersistence, DrainedBusLeavesNoQueueKeysBehind) {
   auto config = Flat(3);
-  SimHarness harness(config, FastOptions(PersistMode::kIncremental));
+  SimHarness harness(config, FastOptions());
   std::vector<AgentId> peers;
   for (ServerId id : config.servers) peers.push_back(AgentId{id, 1});
   auto install = [&](ServerId id, mom::AgentServer& server) {
@@ -203,9 +113,10 @@ TEST(IncrementalPersistence, DrainedBusLeavesNoQueueKeysBehind) {
   // Every queue entry that was written was also deleted; only the
   // steady-state keys (meta, clocks, agents) remain.
   for (ServerId id : config.servers) {
-    EXPECT_TRUE(harness.store(id).Keys("qout/").empty()) << to_string(id);
-    EXPECT_TRUE(harness.store(id).Keys("qin/").empty()) << to_string(id);
-    EXPECT_TRUE(harness.store(id).Keys("hold/").empty()) << to_string(id);
+    for (std::string_view prefix : mom::kQueueKeyPrefixes) {
+      EXPECT_TRUE(harness.store(id).Keys(prefix).empty())
+          << to_string(id) << " " << prefix;
+    }
     EXPECT_TRUE(harness.store(id).Get("meta").has_value()) << to_string(id);
     EXPECT_FALSE(harness.store(id).Keys("clk/").empty()) << to_string(id);
   }
@@ -216,7 +127,7 @@ TEST(IncrementalPersistence, RetransmittedHeldFrameIsDroppedNotReHeld) {
   // restart, retransmits m3 while the original copy is still held.
   // The MessageId index must recognize the copy in O(1) and drop it --
   // the hold-back queue never holds the same message twice.
-  SimHarness harness(Flat(3), FastOptions(PersistMode::kIncremental));
+  SimHarness harness(Flat(3), FastOptions());
   SinkAgent* sink = nullptr;
   auto install = [&](ServerId id, mom::AgentServer& server) {
     if (id == ServerId(1)) {
@@ -264,7 +175,7 @@ TEST(IncrementalPersistence, CleanClocksAreNotRewritten) {
   // with dirty tracking the clock image must not be part of that
   // commit.  Observable: at quiescence the store's clock keys were
   // written far fewer times than there were commits.
-  SimHarness harness(Flat(2), FastOptions(PersistMode::kIncremental));
+  SimHarness harness(Flat(2), FastOptions());
   ASSERT_TRUE(harness.Init().ok());
   ASSERT_TRUE(harness.BootAll().ok());
   for (int i = 0; i < 10; ++i) {
@@ -273,8 +184,8 @@ TEST(IncrementalPersistence, CleanClocksAreNotRewritten) {
   }
   const mom::ServerStats stats = harness.server(ServerId(0)).stats();
   // Sender commits: 10 sends (clock dirty) + 10 ack releases (clock
-  // clean).  Full-image persistence would have written the clock image
-  // in all of them.
+  // clean).  A whole-image rewrite would have written the clock image in
+  // all of them.
   EXPECT_GE(stats.commits, 20u);
   // The ack-release commits stage exactly one deletion; their commit
   // bytes are just the deleted key's name, far below a clock image.

@@ -100,21 +100,54 @@ TEST(DataFrame, IncarnationRoundTripsOnTheWire) {
   EXPECT_EQ(decoded.value(), frame);
 }
 
-TEST(DataFrame, ZeroIncarnationKeepsThePreFlowWireImage) {
-  // Incarnation 0 means "absent" and is never encoded, so a frame
-  // without one is byte-identical to the pre-flow layout -- old stores
-  // and old peers decode it unchanged, and the truncation test above
-  // stays exhaustive (no optional tail to mistake for a clean end).
+TEST(DataFrame, IncarnationIsAlwaysEncoded) {
+  // The incarnation varint is mandatory: a frame carrying 0 (which no
+  // live server sends) costs the same byte as one carrying 7, and
+  // still round-trips.
   DataFrame with;
   with.message = SampleMessage();
   with.domain = DomainId(2);
   with.incarnation = 7;
-  DataFrame without = with;
-  without.incarnation = 0;
-  EXPECT_EQ(without.Serialize().size() + 1, with.Serialize().size());
-  auto decoded = DataFrame::Deserialize(without.Serialize());
+  DataFrame zero = with;
+  zero.incarnation = 0;
+  EXPECT_EQ(zero.Serialize().size(), with.Serialize().size());
+  auto decoded = DataFrame::Deserialize(zero.Serialize());
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value().incarnation, 0u);
+  EXPECT_EQ(decoded.value(), zero);
+}
+
+TEST(DataFrame, EveryProperPrefixFailsToDecode) {
+  // A matrix-core frame ends at its incarnation varint.  No prefix may
+  // decode -- in particular not the one ending at the stamp, which a
+  // decoder that treated the incarnation as optional would accept.
+  DataFrame frame;
+  frame.message = SampleMessage();
+  frame.domain = DomainId(1);
+  frame.stamp.entries = {{DomainServerId(0), DomainServerId(1), 17}};
+  frame.incarnation = 1;
+  const Bytes bytes = frame.Serialize();
+  ASSERT_TRUE(DataFrame::Deserialize(bytes).ok());
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    const std::span<const std::uint8_t> prefix(bytes.data(), cut);
+    EXPECT_FALSE(DataFrame::Deserialize(prefix).ok()) << "cut " << cut;
+  }
+}
+
+TEST(DataFrame, RejectsShapesNoEncoderWrites) {
+  DataFrame frame;
+  frame.message = SampleMessage();
+  frame.domain = DomainId(1);
+  frame.incarnation = 1;
+  const Bytes matrix = frame.Serialize();
+  // An explicit matrix tag (0): the encoder leaves it out.
+  Bytes zero_tag = matrix;
+  zero_tag.push_back(0);
+  EXPECT_FALSE(DataFrame::Deserialize(zero_tag).ok());
+  // Anything after the core tag.
+  frame.core_tag = 1;
+  Bytes trailing = frame.Serialize();
+  trailing.push_back(1);
+  EXPECT_FALSE(DataFrame::Deserialize(trailing).ok());
 }
 
 TEST(AckFrame, RoundTrip) {
@@ -140,6 +173,17 @@ TEST(AckFrame, DeserializeRejectsOverlongCount) {
   out.WriteU8(static_cast<std::uint8_t>(FrameType::kAck));
   out.WriteVarU32(1000000);
   EXPECT_FALSE(DeserializeAck(std::move(out).Take()).ok());
+}
+
+TEST(AckFrame, RejectsUnknownFlagsAndTrailingBytes) {
+  AckFrame ack(MessageId{ServerId(1), 2});
+  Bytes bytes = ack.Serialize();
+  ASSERT_EQ(bytes.back(), 0);  // flags byte: no trailers
+  Bytes unknown_flag = bytes;
+  unknown_flag.back() = 4;
+  EXPECT_FALSE(DeserializeAck(unknown_flag).ok());
+  bytes.push_back(0);
+  EXPECT_FALSE(DeserializeAck(bytes).ok());
 }
 
 TEST(AckFrame, DeserializeRejectsDataFrame) {
