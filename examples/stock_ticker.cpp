@@ -96,7 +96,7 @@ int main() {
   const AgentId exchange{ServerId(1), kExchangeLocal};
   std::size_t cancels = 0;
   for (int i = 0; i < 20; ++i) {
-    const std::string quote_id = "Q" + std::to_string(i);
+    const std::string quote_id = std::string("Q").append(std::to_string(i));
     Bytes body(quote_id.begin(), quote_id.end());
     (void)pubsub::Publish(harness.server(ServerId(1)), exchange, topic,
                           "quote", body);

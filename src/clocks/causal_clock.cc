@@ -31,47 +31,6 @@ Stamp CausalDomainClock::PrepareSend(DomainServerId dest) {
   return stamp;
 }
 
-void CausalDomainClock::PrepareSendBatch(DomainServerId dest,
-                                         std::size_t count,
-                                         std::vector<Stamp>& out) {
-  if (count == 0) return;
-  assert(dest.value() < matrix_.size());
-  ++version_;
-  out.reserve(out.size() + count);
-  if (mode_ == StampMode::kUpdates) {
-    for (std::size_t i = 0; i < count; ++i) {
-      matrix_.Increment(self_, dest);
-      tracker_.NoteChange(self_, dest, std::nullopt);
-      // The first CollectFor drains everything pending toward `dest`;
-      // each later stamp carries only its own send counter.
-      out.push_back(tracker_.CollectFor(dest, matrix_));
-    }
-    return;
-  }
-  // Full-matrix mode: snapshot the matrix once after the first
-  // increment, then patch the single (self, dest) cell per message.
-  matrix_.Increment(self_, dest);
-  tracker_.NoteChange(self_, dest, std::nullopt);
-  Stamp base;
-  base.entries.reserve(matrix_.size() * matrix_.size());
-  for (std::uint16_t row = 0; row < matrix_.size(); ++row) {
-    for (std::uint16_t col = 0; col < matrix_.size(); ++col) {
-      base.entries.push_back(StampEntry{
-          DomainServerId(row), DomainServerId(col),
-          matrix_.at(DomainServerId(row), DomainServerId(col))});
-    }
-  }
-  const std::size_t send_cell =
-      self_.value() * matrix_.size() + dest.value();
-  out.push_back(base);
-  for (std::size_t i = 1; i < count; ++i) {
-    matrix_.Increment(self_, dest);
-    tracker_.NoteChange(self_, dest, std::nullopt);
-    base.entries[send_cell].value = matrix_.at(self_, dest);
-    out.push_back(base);
-  }
-}
-
 CheckResult CausalDomainClock::Check(DomainServerId src,
                                      const Stamp& stamp) const {
   assert(src.value() < matrix_.size());

@@ -57,18 +57,6 @@ class CausalDomainClock {
   // stamp to piggyback on it.
   [[nodiscard]] Stamp PrepareSend(DomainServerId dest);
 
-  // Batched sender side: accounts for `count` messages self -> dest and
-  // appends their stamps to `out`, in send order.  Produces exactly the
-  // stamps `count` sequential PrepareSend calls would (delivery-side
-  // behavior is indistinguishable) but walks the matrix once: in
-  // kFullMatrix mode the s^2 snapshot is built for the first message
-  // and later stamps only patch the send counter; in kUpdates mode the
-  // tracker drains on the first stamp so the rest are minimal deltas.
-  // One version bump per batch (the dirty flag is binary, so commit
-  // coalescing is unaffected).
-  void PrepareSendBatch(DomainServerId dest, std::size_t count,
-                        std::vector<Stamp>& out);
-
   // Receiver side, step 1: classify an incoming message from `src`
   // stamped `stamp` without changing any state.
   [[nodiscard]] CheckResult Check(DomainServerId src,

@@ -40,12 +40,6 @@ std::size_t CausalCoreStampCost(CausalCoreKind kind,
   return domain_size * domain_size;
 }
 
-void CausalCore::PrepareSendBatch(DomainServerId dest, std::size_t count,
-                                  std::vector<Stamp>& out) {
-  out.reserve(out.size() + count);
-  for (std::size_t i = 0; i < count; ++i) out.push_back(PrepareSend(dest));
-}
-
 bool MatrixClockCore::Equals(const CausalCore& other) const {
   const auto* rhs = dynamic_cast<const MatrixClockCore*>(&other);
   return rhs != nullptr && clock_ == rhs->clock_;

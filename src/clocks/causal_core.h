@@ -87,12 +87,6 @@ class CausalCore {
   // stamp to piggyback on it.
   [[nodiscard]] virtual Stamp PrepareSend(DomainServerId dest) = 0;
 
-  // Batched sender side: exactly the stamps `count` sequential
-  // PrepareSend calls would produce.  Cores override when they can do
-  // better than the default loop (the matrix core's one-pass snapshot).
-  virtual void PrepareSendBatch(DomainServerId dest, std::size_t count,
-                                std::vector<Stamp>& out);
-
   // Receiver side, step 1: classify an incoming message from `src`
   // stamped `stamp` without changing any state.
   [[nodiscard]] virtual CheckResult CheckReceive(DomainServerId src,
@@ -149,10 +143,6 @@ class MatrixClockCore final : public CausalCore {
   }
   [[nodiscard]] Stamp PrepareSend(DomainServerId dest) override {
     return clock_.PrepareSend(dest);
-  }
-  void PrepareSendBatch(DomainServerId dest, std::size_t count,
-                        std::vector<Stamp>& out) override {
-    clock_.PrepareSendBatch(dest, count, out);
   }
   [[nodiscard]] CheckResult CheckReceive(DomainServerId src,
                                          const Stamp& stamp) const override {

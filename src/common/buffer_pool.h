@@ -2,31 +2,28 @@
 //
 // Every message the bus moves costs a handful of byte-vector
 // allocations on the hot path: the serialized frame, the decoded
-// payload, the re-encoded store entries.  Under a multi-worker engine
-// those malloc/free pairs contend on the global allocator and dominate
-// the per-message constant factor the paper's throughput argument
-// cares about.  This pool recycles Bytes buffers through per-thread
-// freelists: Acquire/Release never take a lock, and a steady-state
-// pipeline (transport thread decodes and re-acks, shard workers encode
-// agent images and release consumed payloads) runs with zero heap
-// allocations per frame.
+// payload, the re-encoded store entries.  This pool recycles Bytes
+// buffers through per-thread freelists: Acquire/Release never take a
+// lock, and a steady-state pipeline (a transport thread decodes, runs
+// the engine step and re-encodes acks and frames; the consumed payload
+// funds the next encode) runs with almost no heap allocations per
+// frame.
 //
 // Lifetime rule: a pooled buffer is owned like any other Bytes value;
 // Release hands it back for reuse, so the caller must be the last
 // owner.  Frame buffers are released by the receiving decode, payloads
-// after their reaction's group commit -- never earlier, because the
-// store transaction that makes the reaction durable may still read
-// them.
+// once the reaction that consumed them returned (their durable copy is
+// the qin/ record, not the buffer).
 //
 // Buffers migrate between threads through a global overflow shelf:
 // when a thread's freelist caps out, a batch of buffers moves onto the
 // shelf under one lock, and a thread whose freelist runs dry refills a
-// batch from it.  That closes the producer/consumer split of a
-// pipelined engine -- a pure-producer feeder thread (acquire-only)
-// recycles what the consuming engine shard releases instead of hitting
-// the heap on every message, while the steady same-thread hot loops
-// still never touch the lock.  Counters are global (per-thread atomics
-// summed on read) so benchmarks can report heap allocations per
+// batch from it.  That closes the producer/consumer split between
+// threads -- a pure-producer thread (acquire-only, e.g. a SendMessage
+// caller) recycles what the transport threads release instead of
+// hitting the heap on every message, while the steady same-thread hot
+// loops still never touch the lock.  Counters are global (per-thread
+// atomics summed on read) so benchmarks can report heap allocations per
 // message: heap allocs = acquires - pool_hits.
 #pragma once
 

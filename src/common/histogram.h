@@ -2,10 +2,7 @@
 //
 // Bucket b counts samples in [2^(b-1), 2^b), with bucket 0 counting
 // zeros.  Record is O(1) via std::bit_width, cheap enough to live on
-// the commit path and inside executor lane loops; summarized by
-// momtool / tcpsmoke.  Lived in mom/agent_server.h historically; moved
-// here so net/ (lane queue-depth and stall-time instrumentation) can
-// use it without depending on mom/.
+// the commit path; summarized by momtool / tcpsmoke.
 #pragma once
 
 #include <algorithm>

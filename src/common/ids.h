@@ -79,11 +79,17 @@ struct MessageId {
   }
 };
 
+// Built by appending to the prefix: GCC 12 flags the inlined
+// `"S" + std::to_string(...)` (a prepend) with a false -Wrestrict.
 [[nodiscard]] inline std::string to_string(ServerId id) {
-  return "S" + std::to_string(id.value());
+  std::string out(1, 'S');
+  out += std::to_string(id.value());
+  return out;
 }
 [[nodiscard]] inline std::string to_string(DomainId id) {
-  return "D" + std::to_string(id.value());
+  std::string out(1, 'D');
+  out += std::to_string(id.value());
+  return out;
 }
 
 }  // namespace cmom

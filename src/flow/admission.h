@@ -46,12 +46,8 @@ enum class Admission {
 [[nodiscard]] Priority ClassifyPriority(std::string_view subject);
 
 // Pure decision function over the server's current backlog gauges.
-// `engine_backlog` counts the inline QueueIN *plus* reactions
-// dispatched onto the parallel engine's shard rings and not yet
-// group-committed (the server's own engine_inflight_ gauge) -- an O(1)
-// server-side count, deliberately not a sum of ring PendingCount reads,
-// so the admission decision sees one coherent number even while
-// workers drain rings concurrently.  `deferring` latches hysteresis:
+// `engine_backlog` is the QueueIN depth: messages delivered to local
+// agents and not yet reacted to.  `deferring` latches hysteresis:
 // once sends are being deferred, new data sends keep deferring
 // (preserving FIFO among data sends) until the wait queue has fully
 // drained.  `sender_has_deferred` reports

@@ -8,9 +8,18 @@
 #include "common/buffer_pool.h"
 #include "common/log.h"
 #include "flow/admission.h"
+#include "flow/dead_letter.h"
 #include "mom/store_schema.h"
 
 namespace cmom::mom {
+
+namespace {
+// Most inbox frames one Channel work item processes (one commit, acks
+// coalesced per peer), and most QueueIN messages one Engine work item
+// reacts to (one commit).
+constexpr std::size_t kChannelBatch = 16;
+constexpr std::size_t kEngineBatch = 16;
+}  // namespace
 
 // Buffers the sends an agent makes during React; they are committed
 // atomically with the reaction by the Engine.
@@ -73,19 +82,6 @@ AgentServer::~AgentServer() { Halt(); }
 
 void AgentServer::Halt() {
   Shutdown();
-  // Tear down the shard workers first: swap the executor out under
-  // mutex_ (any later dispatch falls back to the inline engine path),
-  // then destroy it unlocked -- the destructor joins each lane after
-  // its current task, and a worker blocked on mutex_ in
-  // ScheduleReactionCommit gets through (and no-ops via shutdown_)
-  // instead of deadlocking against us.  Results never committed stay
-  // covered by their durable qin/ entries.
-  std::unique_ptr<net::Executor> executor;
-  {
-    std::lock_guard lock(mutex_);
-    executor.swap(executor_);
-  }
-  executor.reset();
   // Bar pending runtime callbacks (and wait out any mid-flight one,
   // including a retransmission currently handing frames to the
   // endpoint) before the members they reference go away.
@@ -169,22 +165,6 @@ Status AgentServer::Boot() {
       }
     }
 
-    // Parallel engine eligibility (see header comment): needs a
-    // threaded runtime (MakeExecutor on SimRuntime returns nullptr,
-    // keeping simulated traces bit-identical).
-    if (options_.engine_workers > 0) {
-      if (options_.cost_model != nullptr) {
-        CMOM_LOG(kWarning)
-            << to_string(self_)
-            << ": cost model configured; parallel engine disabled";
-      } else {
-        executor_ = runtime_->MakeExecutor(options_.engine_workers);
-        if (executor_ != nullptr) {
-          worker_stat_count_ = executor_->worker_count();
-          worker_stats_ = std::make_unique<WorkerStat[]>(worker_stat_count_);
-        }
-      }
-    }
     booted_ = true;
   }
 
@@ -192,9 +172,7 @@ Status AgentServer::Boot() {
       [this](ServerId from, Bytes frame) { HandleFrame(from, frame); });
 
   // Resume pending work: retransmit every unacknowledged entry and
-  // continue draining QueueIN.  Under the parallel engine the recovered
-  // entries (reactions the crash interrupted before their group commit)
-  // are handed straight to their shards, in QueueIN order.
+  // continue draining QueueIN.
   Post([this]() -> std::size_t {
     for (OutEntry& entry : queue_out_) {
       EmitOutEntry(entry);
@@ -207,12 +185,7 @@ Status AgentServer::Boot() {
       // a restart into an unbounded flood past the peer's watermarks.
       if (options_.flow.enabled) SenderLink(entry.next_hop).Admit();
     }
-    if (parallel_engine()) {
-      for (InEntry& entry : queue_in_) DispatchReaction(std::move(entry));
-      queue_in_.clear();
-    } else if (!queue_in_.empty()) {
-      engine_step_needed_ = true;
-    }
+    if (!queue_in_.empty()) engine_step_needed_ = true;
     // Forwards staged by the DRR scheduler before the crash resume
     // draining (their fwd/ records were recovered above).
     if (!forward_stage_.empty() && !forward_step_queued_) {
@@ -361,7 +334,7 @@ void AgentServer::HandleFrame(ServerId from, Bytes frame) {
   }
 }
 
-// One Channel transaction: processes up to channel_batch inbox frames,
+// One Channel transaction: processes up to kChannelBatch inbox frames,
 // commits everything they changed in one store transaction, then sends
 // one coalesced ack frame per peer.  Under load the per-message commit
 // (and ack frame) count drops toward 1/batch; when frames trickle in
@@ -372,8 +345,7 @@ std::size_t AgentServer::DrainInbox() {
   commit_needed_ = false;
   std::size_t entries = 0;
   std::size_t processed = 0;
-  const std::size_t limit = std::max<std::size_t>(1, options_.channel_batch);
-  while (!inbox_.empty() && processed < limit) {
+  while (!inbox_.empty() && processed < kChannelBatch) {
     DecodedFrame frame = std::move(inbox_.front());
     inbox_.pop_front();
     ++processed;
@@ -725,7 +697,7 @@ Result<MessageId> AgentServer::SendMessage(AgentId from, AgentId to,
       }
     }
     const flow::Admission decision = flow::AdmitSend(
-        priority, queue_in_.size() + engine_inflight_, queue_out_.size(),
+        priority, queue_in_.size(), queue_out_.size(),
         wait_queue_.size(), !wait_queue_.empty(), sender_has_deferred,
         options_.flow);
     if (decision == flow::Admission::kReject) {
@@ -760,14 +732,6 @@ std::size_t AgentServer::ApplySends(std::vector<Message> sends) {
   // first so the outgoing stamp order stays causal; only pure
   // router-to-router traffic keeps the deferred fair schedule.
   if (!sends.empty()) entries += FlushForwardStageLocked();
-  // Remote sends are collected and stamped in runs sharing a next hop
-  // (one MatrixClock pass per run, see StampAndEnqueueBatch).  Local
-  // deliveries go straight through: they never touch the clock, all of
-  // this lands in the same store transaction, and frames only leave
-  // after that commit -- so neither per-hop stamp order nor per-agent
-  // FIFO changes relative to the strictly interleaved original.
-  std::vector<Message> remote;
-  remote.reserve(sends.size());
   for (Message& message : sends) {
     ++stats_.messages_sent;
     ++originated_by_dest_[message.dest_server()];
@@ -775,10 +739,9 @@ std::size_t AgentServer::ApplySends(std::vector<Message> sends) {
     if (message.dest_server() == self_) {
       EnqueueLocalDelivery(std::move(message));
     } else {
-      remote.push_back(std::move(message));
+      entries += StampAndEnqueue(std::move(message));
     }
   }
-  if (!remote.empty()) entries += StampAndEnqueueBatch(std::move(remote));
   (void)CommitLocked();
   return entries;
 }
@@ -809,65 +772,11 @@ std::size_t AgentServer::StampAndEnqueue(Message message) {
   entry.next_hop = hop;
   entry.domain = item->id;
   entry.stamp = item->core->PrepareSend(*hop_local);
-  return EnqueueStampedLocked(std::move(entry));
-}
-
-std::size_t AgentServer::StampAndEnqueueBatch(std::vector<Message> messages) {
-  std::size_t entries = 0;
-  std::size_t i = 0;
-  std::vector<clocks::Stamp> stamps;
-  while (i < messages.size()) {
-    const ServerId hop =
-        deployment_->routing().NextHop(self_, messages[i].dest_server());
-    auto link_index = deployment_->LinkDomainIndex(self_, hop);
-    if (!link_index.ok()) {
-      CMOM_LOG(kError) << "unroutable message " << messages[i].id << ": "
-                       << link_index.status();
-      ++i;
-      continue;
-    }
-    // Extend the run across consecutive messages sharing this hop; the
-    // link domain is a function of (self, hop), so one resolution
-    // covers the whole run.
-    std::size_t j = i + 1;
-    while (j < messages.size() &&
-           deployment_->routing().NextHop(
-               self_, messages[j].dest_server()) == hop) {
-      ++j;
-    }
-    DomainItem* item = nullptr;
-    for (DomainItem& candidate : items_) {
-      if (candidate.deployment_index == link_index.value()) {
-        item = &candidate;
-        break;
-      }
-    }
-    assert(item != nullptr && "link domain not among this server's items");
-    auto hop_local = deployment_->domain(link_index.value()).LocalId(hop);
-    assert(hop_local.has_value());
-
-    stamps.clear();
-    item->core->PrepareSendBatch(*hop_local, j - i, stamps);
-    for (std::size_t k = i; k < j; ++k) {
-      OutEntry entry;
-      entry.message = std::move(messages[k]);
-      entry.next_hop = hop;
-      entry.domain = item->id;
-      entry.stamp = std::move(stamps[k - i]);
-      entries += EnqueueStampedLocked(std::move(entry));
-    }
-    i = j;
-  }
-  return entries;
-}
-
-std::size_t AgentServer::EnqueueStampedLocked(OutEntry entry) {
   entry.enqueue_seq = next_out_enqueue_seq_++;
   const std::size_t entries = entry.stamp.entries.size();
   const std::size_t stamp_bytes = entry.stamp.EncodedSize();
   stats_.stamp_bytes_sent += stamp_bytes;
   stats_.stamp_bytes_hist.Record(stamp_bytes);
-  const ServerId hop = entry.next_hop;
 
   const MessageId id = entry.message.id;
   PersistOutEntry(entry);
@@ -1069,12 +978,12 @@ void AgentServer::ScheduleCreditProbe(ServerId peer) {
 
 std::size_t AgentServer::ReceiverBacklogLocked() const {
   // Everything this server still owes work for: undelivered input,
-  // dispatched reactions, causally held frames, staged forwards -- and
-  // QueueOUT, so a router whose DOWNSTREAM link is credit-blocked stops
-  // granting credit upstream instead of absorbing the overload into its
-  // own outgoing queue (end-to-end backpressure, not hop-local).
-  return queue_in_.size() + engine_inflight_ + HoldbackSizeLocked() +
-         forward_stage_.size() + queue_out_.size();
+  // causally held frames, staged forwards -- and QueueOUT, so a router
+  // whose DOWNSTREAM link is credit-blocked stops granting credit
+  // upstream instead of absorbing the overload into its own outgoing
+  // queue (end-to-end backpressure, not hop-local).
+  return queue_in_.size() + HoldbackSizeLocked() + forward_stage_.size() +
+         queue_out_.size();
 }
 
 void AgentServer::MaybeReplenishCredits() {
@@ -1115,16 +1024,15 @@ void AgentServer::StageForward(DomainId source, Message message) {
   }
 }
 
-// One forwarding transaction: pops up to channel_batch staged messages
+// One forwarding transaction: pops up to kChannelBatch staged messages
 // via deficit round robin, stamps each toward its next hop, deletes its
 // fwd/ record, and commits the batch.
 std::size_t AgentServer::ForwardStep() {
   forward_step_queued_ = false;
   if (forward_stage_.empty()) return 0;
   std::size_t entries = 0;
-  const std::size_t budget = std::max<std::size_t>(1, options_.channel_batch);
   forward_stage_.Drain(
-      budget,
+      kChannelBatch,
       [&](DomainId source, ForwardEntry&& staged) {
         (void)source;
         StoreDelete(FwdKey(staged.seq));
@@ -1162,28 +1070,27 @@ void AgentServer::MaybeScheduleWaitDrainLocked() {
   // A fence flushes the wait queue unconditionally: the deferred sends
   // were accepted before the fence and must drain for quiesce.
   if (!fence_active_ &&
-      !flow::ShouldDrainWaitQueue(queue_in_.size() + engine_inflight_,
-                                  queue_out_.size(), options_.flow)) {
+      !flow::ShouldDrainWaitQueue(queue_in_.size(), queue_out_.size(),
+                                  options_.flow)) {
     return;
   }
   wait_drain_queued_ = true;
   work_queue_.push_back([this] { return DrainWaitQueue(); });
 }
 
-// Releases deferred sends in FIFO order, one engine_batch per work item
+// Releases deferred sends in FIFO order, one kEngineBatch per work item
 // (re-checking the threshold between batches so a refilling backlog
 // pauses the drain again).
 std::size_t AgentServer::DrainWaitQueue() {
   wait_drain_queued_ = false;
   if (wait_queue_.empty()) return 0;
   if (!fence_active_ &&
-      !flow::ShouldDrainWaitQueue(queue_in_.size() + engine_inflight_,
-                                  queue_out_.size(), options_.flow)) {
+      !flow::ShouldDrainWaitQueue(queue_in_.size(), queue_out_.size(),
+                                  options_.flow)) {
     return 0;
   }
   std::vector<Message> sends;
-  const std::size_t batch = std::max<std::size_t>(1, options_.engine_batch);
-  while (!wait_queue_.empty() && sends.size() < batch) {
+  while (!wait_queue_.empty() && sends.size() < kEngineBatch) {
     sends.push_back(std::move(wait_queue_.front()));
     wait_queue_.pop_front();
   }
@@ -1209,19 +1116,18 @@ void AgentServer::RecordDeadLetter(std::string reason,
 // Engine
 // ---------------------------------------------------------------------
 
-// One Engine transaction: reacts to up to engine_batch QueueIN
+// One Engine transaction: reacts to up to kEngineBatch QueueIN
 // messages, persists each touched agent image once, and commits the
 // whole batch -- QueueIN deletions, agent state and all the stamped
 // sends the reactions produced -- atomically.
 std::size_t AgentServer::EngineStep() {
   engine_step_queued_ = false;
   if (queue_in_.empty()) return 0;
-  const std::size_t limit = std::max<std::size_t>(1, options_.engine_batch);
 
   std::vector<Message> sends;
   std::vector<std::uint32_t> reacted;  // agents to persist, insert order
   std::size_t batch = 0;
-  while (!queue_in_.empty() && batch < limit) {
+  while (!queue_in_.empty() && batch < kEngineBatch) {
     InEntry entry = std::move(queue_in_.front());
     queue_in_.pop_front();
     EraseInEntry(entry);
@@ -1267,208 +1173,15 @@ std::size_t AgentServer::EngineStep() {
   return entries;
 }
 
-// ---------------------------------------------------------------------
-// Parallel engine (engine_workers > 0)
-// ---------------------------------------------------------------------
-
 // Routes a locally addressed message into the engine.  Caller holds
-// mutex_ inside a work item; the qin/ entry is staged here and made
-// durable by that work item's own commit, which the FIFO work queue
-// runs strictly before any commit-stage item a worker can enqueue --
-// so the qin/ put always commits before the group commit erases it.
+// mutex_ inside a work item, whose commit makes the qin/ entry durable.
 void AgentServer::EnqueueLocalDelivery(Message message) {
   BufferTraceDeliver(message);
   ++stats_.messages_delivered;
   InEntry entry{next_in_seq_++, std::move(message)};
   PersistInEntry(entry);
-  if (parallel_engine()) {
-    DispatchReaction(std::move(entry));
-    return;
-  }
   queue_in_.push_back(std::move(entry));
   engine_step_needed_ = true;
-}
-
-std::size_t AgentServer::ShardOf(std::uint32_t agent_local) const {
-  return std::hash<std::uint32_t>{}(agent_local) % executor_->worker_count();
-}
-
-// Caller holds mutex_.  Messages for one agent are dispatched in
-// delivery order from under the server lock, and a lane runs its tasks
-// serially -- so per-agent reaction order equals causal delivery order
-// even though distinct agents react concurrently.
-void AgentServer::DispatchReaction(InEntry entry) {
-  const std::size_t shard = ShardOf(entry.message.to.local);
-  stats_.shard_depth_hist.Record(executor_->PendingCount(shard));
-  ++engine_inflight_;
-  executor_->Post(shard, [this, shard, entry = std::move(entry)]() mutable {
-    RunReaction(shard, std::move(entry));
-  });
-}
-
-// Shard worker body.  Touches no server state guarded by mutex_:
-// agents_ is structurally frozen after Boot and this shard is the only
-// thread running (or encoding) its agents, so React and EncodeState
-// need no lock.  MessageId assignment is deferred to the commit stage
-// to keep id order a single-writer sequence.
-void AgentServer::RunReaction(std::size_t shard, InEntry entry) {
-  struct Collector final : ReactionContext {
-    net::Runtime* runtime;
-    AgentId id;
-    std::vector<PendingSend>* out;
-    std::vector<flow::DeadLetterRecord>* dead;
-    [[nodiscard]] AgentId self() const override { return id; }
-    void Send(AgentId to, std::string subject, Bytes payload) override {
-      out->push_back(
-          PendingSend{id, to, std::move(subject), std::move(payload)});
-    }
-    [[nodiscard]] std::uint64_t NowNs() const override {
-      return runtime->NowNs();
-    }
-    // Buffered like the sends: the record is speculative until the
-    // group commit persists it (dlq/ sequence assignment happens there,
-    // under mutex_).
-    void DeadLetter(std::string reason, const Message& original) override {
-      flow::DeadLetterRecord record;
-      record.reason = std::move(reason);
-      record.id = original.id;
-      record.from = original.from;
-      record.to = original.to;
-      record.subject = original.subject;
-      record.payload = original.payload;
-      dead->push_back(std::move(record));
-    }
-  };
-
-  const std::uint64_t start = runtime_->NowNs();
-  ReactionResult result;
-  result.in_seq = entry.seq;
-  result.agent_local = entry.message.to.local;
-  auto agent_it = agents_.find(result.agent_local);
-  if (agent_it == agents_.end()) {
-    CMOM_LOG(kWarning) << to_string(self_) << ": no agent " << entry.message.to
-                       << " for message " << entry.message.id << "; dropped";
-  } else {
-    Collector ctx;
-    ctx.runtime = runtime_;
-    ctx.id = entry.message.to;
-    ctx.out = &result.sends;
-    ctx.dead = &result.dead_letters;
-    agent_it->second->React(ctx, entry.message);
-    // The image buffer comes from this worker's freelist -- in steady
-    // state the payload released below funds the next image acquire,
-    // making the reaction loop allocation-free.
-    ByteWriter image = PooledWriter(256);
-    agent_it->second->EncodeState(image);
-    result.agent_image = std::move(image).Take();
-    result.has_image = true;
-  }
-  // The consumed message is dead after React; recycle its payload.
-  BufferPool::Release(std::move(entry.message.payload));
-  const std::uint64_t busy = runtime_->NowNs() - start;
-  {
-    std::lock_guard results(results_mutex_);
-    completed_reactions_.push_back(std::move(result));
-  }
-  // Owned by this shard's worker, read relaxed by stats() -- no lock.
-  worker_stats_[shard].reactions.fetch_add(1, std::memory_order_relaxed);
-  worker_stats_[shard].busy_ns.fetch_add(busy, std::memory_order_relaxed);
-  // results_mutex_ released before touching mutex_ (lock order).
-  ScheduleReactionCommit();
-}
-
-// Worker side: at most one commit-stage work item is outstanding, so
-// results pile up while a commit runs and the next drain takes them
-// all at once -- group commit sizing follows load, like the Channel
-// batch.
-void AgentServer::ScheduleReactionCommit() {
-  std::unique_lock lock(mutex_);
-  if (shutdown_ || commit_stage_queued_) return;
-  // Adaptive group sizing: when the store reports a real fdatasync cost
-  // (SyncMode::kDataSync), defer the commit until enough reactions have
-  // completed to amortize it.  engine_inflight_ counts dispatched but
-  // uncommitted reactions; while it exceeds the completed count, more
-  // completions are coming and each re-enters here -- so deferral can
-  // never stall the pipeline, and the moment the last in-flight
-  // reaction completes the batch commits regardless of size.
-  const std::size_t target = AdaptiveCommitTargetLocked();
-  if (target > 1) {
-    std::size_t completed = 0;
-    {
-      std::lock_guard results(results_mutex_);
-      completed = completed_reactions_.size();
-    }
-    if (completed < target && engine_inflight_ > completed) return;
-  }
-  commit_stage_queued_ = true;
-  work_queue_.push_back([this] { return CommitReactions(); });
-  PumpLocked();
-}
-
-std::size_t AgentServer::AdaptiveCommitTargetLocked() const {
-  const std::uint64_t sync_ns = store_->sync_latency_ns();
-  if (sync_ns == 0) return 1;  // cheap commits: size follows load alone
-  const std::size_t cap = std::max<std::size_t>(1, options_.engine_batch);
-  std::uint64_t reactions = 0;
-  std::uint64_t busy = 0;
-  for (std::size_t i = 0; i < worker_stat_count_; ++i) {
-    reactions += worker_stats_[i].reactions.load(std::memory_order_relaxed);
-    busy += worker_stats_[i].busy_ns.load(std::memory_order_relaxed);
-  }
-  const std::uint64_t mean_react = reactions == 0 ? 0 : busy / reactions;
-  // Batch until the sync barrier costs at most one mean reaction per
-  // batch member; before any reaction has been timed, assume the worst
-  // and use the configured ceiling.
-  if (mean_react == 0) return cap;
-  const auto target = static_cast<std::size_t>(sync_ns / mean_react);
-  return std::clamp<std::size_t>(target, std::size_t{1}, cap);
-}
-
-// Commit stage (a regular work item, so it serializes with the Channel
-// and owns mutex_).  Drains every completed reaction and commits the
-// group in one store transaction: qin/ erases, one image per touched
-// agent (last write wins), and the stamped sends -- which ApplySends
-// also routes, including re-dispatching local deliveries to shards.
-// The flag is cleared BEFORE the drain: a worker that queues a result
-// after our swap finds commit_stage_queued_ false once it gets mutex_
-// and schedules the next commit, so no result is ever stranded.
-std::size_t AgentServer::CommitReactions() {
-  commit_stage_queued_ = false;
-  std::vector<ReactionResult> batch;
-  {
-    std::lock_guard results(results_mutex_);
-    batch.swap(completed_reactions_);
-  }
-  if (batch.empty()) return 0;
-
-  std::vector<Message> sends;
-  std::unordered_map<std::uint32_t, std::size_t> last_image;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i].has_image) last_image[batch[i].agent_local] = i;
-  }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    ReactionResult& result = batch[i];
-    StoreDelete(InKey(result.in_seq));
-    for (PendingSend& send : result.sends) {
-      sends.push_back(MakeMessage(send.from, send.to, std::move(send.subject),
-                                  std::move(send.payload)));
-    }
-    for (flow::DeadLetterRecord& record : result.dead_letters) {
-      StorePut(flow::DeadLetterKey(next_dlq_seq_++), record.Serialize());
-      ++stats_.dead_letters;
-    }
-    auto it = last_image.find(result.agent_local);
-    if (it != last_image.end() && it->second == i) {
-      StorePut(AgentKey(result.agent_local), std::move(result.agent_image));
-    }
-  }
-  stats_.group_commit_hist.Record(batch.size());
-  assert(engine_inflight_ >= batch.size());
-  engine_inflight_ -= batch.size();
-  const std::size_t entries = ApplySends(std::move(sends));
-  MaybeReplenishCredits();
-  MaybeScheduleWaitDrainLocked();
-  return entries;
 }
 
 // ---------------------------------------------------------------------
@@ -1840,29 +1553,7 @@ Status AgentServer::RecoverEntriesLocked() {
 
 ServerStats AgentServer::stats() const {
   std::lock_guard lock(mutex_);
-  ServerStats out = stats_;
-  out.worker_reactions.clear();
-  out.worker_busy_ns.clear();
-  // O(1) per shard: relaxed reads of worker-owned counters and the
-  // executor's ring indices -- no lane lock, no results_mutex_.
-  for (std::size_t shard = 0; shard < worker_stat_count_; ++shard) {
-    out.worker_reactions.push_back(
-        worker_stats_[shard].reactions.load(std::memory_order_relaxed));
-    out.worker_busy_ns.push_back(
-        worker_stats_[shard].busy_ns.load(std::memory_order_relaxed));
-  }
-  if (executor_ != nullptr) {
-    for (std::size_t lane = 0; lane < executor_->worker_count(); ++lane) {
-      const net::Executor::LaneStats lane_stats =
-          executor_->GetLaneStats(lane);
-      out.lane_posts += lane_stats.posts;
-      out.lane_overflow_posts += lane_stats.overflow_posts;
-      out.lane_parks += lane_stats.parks;
-      out.lane_depth_hist.MergeFrom(lane_stats.depth);
-      out.lane_stall_ns_hist.MergeFrom(lane_stats.stall_ns);
-    }
-  }
-  return out;
+  return stats_;
 }
 
 std::size_t AgentServer::holdback_size() const {
@@ -1884,8 +1575,8 @@ std::size_t AgentServer::queue_out_size() const {
 bool AgentServer::Idle() const {
   std::lock_guard lock(mutex_);
   return work_queue_.empty() && !work_running_ && inbox_.empty() &&
-         queue_in_.empty() && queue_out_.empty() && engine_inflight_ == 0 &&
-         forward_stage_.empty() && wait_queue_.empty();
+         queue_in_.empty() && queue_out_.empty() && forward_stage_.empty() &&
+         wait_queue_.empty();
 }
 
 void AgentServer::BeginFence() {
@@ -1919,9 +1610,9 @@ AgentServer::FenceStatus AgentServer::fence_status() const {
   status.queue_out = queue_out_.size();
   status.queue_in = queue_in_.size();
   status.holdback = HoldbackSizeLocked();
-  status.inflight = engine_inflight_ + work_queue_.size() +
-                    inbox_.size() + (work_running_ ? 1 : 0) +
-                    forward_stage_.size() + wait_queue_.size();
+  status.inflight = work_queue_.size() + inbox_.size() +
+                    (work_running_ ? 1 : 0) + forward_stage_.size() +
+                    wait_queue_.size();
   status.drained = fence_active_ && status.queue_out == 0 &&
                    status.queue_in == 0 && status.holdback == 0 &&
                    status.inflight == 0;

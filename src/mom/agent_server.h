@@ -20,13 +20,13 @@
 //   reaction  : pop QueueIN, run Agent::React, persist agent state and
 //               the stamped sends it produced, commit, emit frames
 //
-// Batching: incoming frames land in an inbox and are drained up to
-// `channel_batch` per work item, committing the whole batch in ONE
-// store transaction and coalescing the acks into one frame per peer.
-// Likewise the Engine drains up to `engine_batch` QueueIN messages per
-// work item and commits all their reactions together.  Batches are
-// still atomic, so exactly-once causal delivery is unaffected; under
-// load the commit (and ack) count per message drops toward 1/batch.
+// Batching: incoming frames land in an inbox and are drained up to 16
+// per work item, committing the whole batch in ONE store transaction
+// and coalescing the acks into one frame per peer.  Likewise the
+// Engine drains up to 16 QueueIN messages per work item and commits
+// all their reactions together.  Batches are still atomic, so
+// exactly-once causal delivery is unaffected; under load the commit
+// (and ack) count per message drops toward 1/batch.
 //
 // Persistence is incremental (mom/store_schema.h): QueueOUT, QueueIN,
 // the hold-back queues and the router's staged forwards live under
@@ -51,39 +51,17 @@
 // the single-threaded Java server of the paper.  Without a CostModel,
 // work runs inline at wall-clock speed.
 //
-// Parallel engine (engine_workers > 0, wall-clock runtimes only): the
-// single work loop becomes a three-stage pipeline.
-//
-//   Channel stage   unchanged lock + batching; after the clock check a
-//                   deliverable message is persisted under its qin/ key
-//                   and DISPATCHED to an engine shard instead of
-//                   queueing an inline EngineStep.
-//   Engine stage    a pool of shard workers (an Executor lane per
-//                   worker).  The destination agent id hashes to a
-//                   lane, so one agent's reactions run serially in
-//                   QueueIN (= causal delivery) order while different
-//                   agents react concurrently.  A worker runs React
-//                   without any server lock and emits a ReactionResult:
-//                   the agent image it encoded, the sends the reaction
-//                   buffered, and the consumed qin/ sequence.
-//   Commit stage    an ordinary work item that drains every completed
-//                   ReactionResult and commits the whole group in ONE
-//                   store transaction -- qin/ deletions, one image per
-//                   touched agent, stamped QueueOUT entries -- and only
-//                   then releases the produced frames.  Atomic-reaction
-//                   and exactly-once guarantees are untouched: a
-//                   reaction is speculative until its group commits,
-//                   and its input stays durable in qin/ until then.
-//
-// engine_workers = 0 (the default) keeps the historical inline engine;
-// simulated runs always use it (SimRuntime::MakeExecutor returns
-// nullptr), so CostModel traces stay bit-identical.
+// One engine (Section 5): every work item -- Channel drain, Engine
+// step, forward step, timer expiry, control record -- runs under the
+// server lock, one at a time, on the thread that found the work queue
+// idle when it posted (a transport thread, the timer thread or a
+// SendMessage caller).  Only frame decode (HandleFrame, on the
+// transport thread) and handing committed frames to the transport run
+// outside the lock.
 #pragma once
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <bit>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -105,7 +83,6 @@
 #include "common/status.h"
 #include "domains/deployment.h"
 #include "flow/credits.h"
-#include "flow/dead_letter.h"
 #include "flow/drr.h"
 #include "mom/agent.h"
 #include "mom/message.h"
@@ -125,16 +102,6 @@ struct AgentServerOptions {
   std::uint64_t retransmit_timeout_ns = 500ull * 1000 * 1000;
   // Safety valve for runaway retransmission (0 = unlimited).
   std::uint32_t max_retransmit_attempts = 0;
-  // Max QueueIN messages reacted to per Engine work item (one commit).
-  std::size_t engine_batch = 16;
-  // Max inbox frames processed per Channel work item (one commit, acks
-  // coalesced per peer).
-  std::size_t channel_batch = 16;
-  // Engine shard workers (see header comment).  0 = historical inline
-  // engine.  >0 requires a runtime whose MakeExecutor returns real
-  // threads (ThreadRuntime); otherwise the server falls back to inline
-  // mode at Boot.
-  std::size_t engine_workers = 0;
   // Config epoch this server runs under (src/control reconfiguration).
   // Stamped into every outgoing DataFrame; frames from a different
   // epoch are dropped unacknowledged.  Boot cross-checks the value
@@ -156,9 +123,9 @@ struct AgentServerOptions {
   flow::FlowOptions flow;
 };
 
-// The power-of-two-bucketed histogram lives in common/histogram.h now
-// (net/ lane instrumentation shares it); re-exported here because the
-// stats plumbing and tests historically name it mom::LogHistogram.
+// The power-of-two-bucketed histogram lives in common/histogram.h;
+// re-exported here because the stats plumbing and tests name it
+// mom::LogHistogram.
 using ::cmom::LogHistogram;
 
 struct ServerStats {
@@ -227,20 +194,6 @@ struct ServerStats {
   // hold-back queue depth observed when a frame was parked.
   LogHistogram stamp_bytes_hist;
   LogHistogram holdback_depth_hist;
-  // Parallel engine only (engine_workers > 0):
-  LogHistogram group_commit_hist;  // reactions per commit-stage txn
-  LogHistogram shard_depth_hist;   // shard queue depth at dispatch
-  std::vector<std::uint64_t> worker_reactions;  // reactions run per shard
-  std::vector<std::uint64_t> worker_busy_ns;    // React wall time per shard
-  // Executor hand-off instrumentation, aggregated over all lanes
-  // (net::Executor::LaneStats): ring posts, posts that spilled to the
-  // overflow queue, consumer parks, and the consumer-side queue-depth /
-  // stall-time histograms.
-  std::uint64_t lane_posts = 0;
-  std::uint64_t lane_overflow_posts = 0;
-  std::uint64_t lane_parks = 0;
-  LogHistogram lane_depth_hist;
-  LogHistogram lane_stall_ns_hist;
 };
 
 class AgentServer {
@@ -308,7 +261,9 @@ class AgentServer {
     std::size_t queue_out = 0;
     std::size_t queue_in = 0;
     std::size_t holdback = 0;
-    std::size_t inflight = 0;  // dispatched reactions + queued work items
+    // Queued or running work items, inbox frames, staged forwards and
+    // deferred sends.
+    std::size_t inflight = 0;
   };
   void BeginFence();
   void LiftFence();
@@ -437,7 +392,7 @@ class AgentServer {
 
   // --- channel -------------------------------------------------------
   void HandleFrame(ServerId from, Bytes frame);
-  // Processes up to channel_batch inbox frames in one transaction.
+  // Processes up to kChannelBatch inbox frames in one transaction.
   std::size_t DrainInbox();
   std::size_t ProcessDataFrame(ServerId from, DataFrame frame);
   std::size_t ProcessAck(ServerId from, const AckFrame& ack);
@@ -448,17 +403,10 @@ class AgentServer {
   // Re-examines the hold-back queue after a clock change; returns the
   // clock entries touched by the deliveries it unblocked.
   std::size_t DrainHoldback(DomainItem& item);
-  // Stamps `message` toward its destination and appends to QueueOUT;
-  // returns entries touched.  Emits the data frame.
+  // Stamps `message` toward its next hop, persists and appends it to
+  // QueueOUT, and emits its data frame unless the link's credit window
+  // blocks it.  Returns clock entries touched.
   std::size_t StampAndEnqueue(Message message);
-  // Batch variant for the engine commit path: stamps a run of messages
-  // sharing the next hop with one MatrixClock pass (PrepareSendBatch)
-  // instead of one lock round-trip per message.  Produces stamps
-  // byte-identical to sequential StampAndEnqueue calls.
-  std::size_t StampAndEnqueueBatch(std::vector<Message> messages);
-  // Shared tail of both paths: persists, enqueues and emits one
-  // already-stamped OutEntry.  Returns clock entries touched.
-  std::size_t EnqueueStampedLocked(OutEntry entry);
   void EmitFrame(ServerId to, Bytes bytes);
   // Records an accepted message for the end-of-batch coalesced ack.
   void StageAck(ServerId peer, MessageId id);
@@ -502,8 +450,8 @@ class AgentServer {
   // whose replenish ack was lost.  At most one armed per peer.
   void ScheduleCreditProbe(ServerId peer);
   // Backlog the receiver advertises against: everything accepted but
-  // not yet reacted to or forwarded on (QueueIN + in-flight reactions +
-  // held frames + DRR staging).
+  // not yet reacted to or forwarded on (QueueIN + held frames + DRR
+  // staging + QueueOUT).
   [[nodiscard]] std::size_t ReceiverBacklogLocked() const;
   // Pushes credit-only acks to paused peers once the backlog has
   // drained below the low watermark.  Caller holds mutex_ inside a
@@ -532,50 +480,11 @@ class AgentServer {
   std::size_t EngineStep();
   std::size_t ApplySends(std::vector<Message> sends);
 
-  // --- parallel engine -------------------------------------------------
-  // A send buffered by a shard worker; MessageId assignment (and hence
-  // stamping) is deferred to the commit stage so id order stays a
-  // single-writer sequence under mutex_.
-  struct PendingSend {
-    AgentId from;
-    AgentId to;
-    std::string subject;
-    Bytes payload;
-  };
-  // Everything a shard worker produced for one consumed QueueIN entry.
-  struct ReactionResult {
-    std::uint64_t in_seq = 0;       // qin/ key to erase at commit
-    std::uint32_t agent_local = 0;  // agent that reacted
-    bool has_image = false;         // false when the agent was missing
-    Bytes agent_image;              // EncodeState() after the reaction
-    std::vector<PendingSend> sends;
-    // Messages the reaction shed (ReactionContext::DeadLetter);
-    // persisted as dlq/ records in the same group commit.
-    std::vector<flow::DeadLetterRecord> dead_letters;
-  };
-
   // holdback_size() without taking mutex_ (receive-path internal use).
   [[nodiscard]] std::size_t HoldbackSizeLocked() const;
-
-  [[nodiscard]] bool parallel_engine() const { return executor_ != nullptr; }
-  [[nodiscard]] std::size_t ShardOf(std::uint32_t agent_local) const;
-  // Channel/commit side: hands one delivered message to its shard lane.
-  // Caller holds mutex_ and has already persisted the qin/ entry.
-  void DispatchReaction(InEntry entry);
-  // Worker side: runs React without server locks, queues the result.
-  void RunReaction(std::size_t shard, InEntry entry);
-  // Reactions the commit stage should wait for before scheduling, given
-  // the store's observed fdatasync latency (1 = commit immediately).
-  [[nodiscard]] std::size_t AdaptiveCommitTargetLocked() const;
-  // Worker side: queues the commit-stage work item (at most one
-  // outstanding).
-  void ScheduleReactionCommit();
-  // Commit stage: drains completed_reactions_, assigns ids, persists
-  // agent images + qin/ erases + stamped sends in one transaction.
-  std::size_t CommitReactions();
-  // Routes a locally addressed message into the engine: persists the
-  // qin/ entry then either dispatches to a shard (parallel) or appends
-  // to queue_in_ (inline).  Shared by Channel delivery and local sends.
+  // Routes a locally addressed message into the engine: persists its
+  // qin/ entry and appends it to QueueIN.  Shared by Channel delivery
+  // and local sends.
   void EnqueueLocalDelivery(Message message);
 
   // --- persistence (mom/store_schema.h) --------------------------------
@@ -729,30 +638,6 @@ class AgentServer {
   // Bytes committed by the currently running work item (feeds the
   // simulated disk-cost charge).
   std::uint64_t txn_bytes_marker_ = 0;
-
-  // --- parallel engine state ------------------------------------------
-  // Non-null iff the parallel pipeline is active (decided at Boot).
-  std::unique_ptr<net::Executor> executor_;
-  // Reactions dispatched to shards and not yet group-committed; Idle()
-  // requires this to reach zero.  Guarded by mutex_.
-  std::size_t engine_inflight_ = 0;
-  // True while a CommitReactions work item is queued or running, so the
-  // commit stage coalesces naturally under load.  Guarded by mutex_.
-  bool commit_stage_queued_ = false;
-  // Worker -> commit-stage handoff.  Lock order: mutex_ before
-  // results_mutex_; workers take results_mutex_ alone and release it
-  // before touching mutex_ (via Post).
-  mutable std::mutex results_mutex_;
-  std::vector<ReactionResult> completed_reactions_;
-  // Per-shard utilization counters.  Each entry is written only by the
-  // worker that owns that shard and read with relaxed loads by stats()
-  // and the adaptive commit sizing -- no lock on the hot path.
-  struct WorkerStat {
-    std::atomic<std::uint64_t> reactions{0};
-    std::atomic<std::uint64_t> busy_ns{0};
-  };
-  std::unique_ptr<WorkerStat[]> worker_stats_;
-  std::size_t worker_stat_count_ = 0;
 
   // --- flow control state (guarded by mutex_) -------------------------
   std::unordered_map<ServerId, flow::CreditSenderLink> sender_links_;

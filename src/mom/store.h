@@ -60,10 +60,9 @@ class Store {
   // Total bytes written over the store's lifetime.
   [[nodiscard]] virtual std::uint64_t total_bytes_written() const = 0;
   // Smoothed cost of this store's durability barrier (fdatasync) in
-  // nanoseconds; 0 for stores that never block on the device.  The
-  // engine's commit stage reads it to size group commits adaptively: a
-  // slow device earns bigger batches so the sync amortizes, a fast (or
-  // non-syncing) one keeps commits small and latency low.
+  // nanoseconds; 0 for stores that never block on the device.  An
+  // observability reading (benchmarks report it); the server does not
+  // consult it.
   [[nodiscard]] virtual std::uint64_t sync_latency_ns() const { return 0; }
 };
 

@@ -3,20 +3,11 @@
 // The MOM code (retransmission timers, modeled processing delays) is
 // written once against this interface and runs unchanged on simulated
 // time (SimRuntime) or wall-clock time (ThreadRuntime).
-//
-// Runtimes also answer for CPU parallelism: MakeExecutor() hands out a
-// lane executor (a fixed set of serial task queues running
-// concurrently) on runtimes that own real threads, and nullptr on
-// deterministic runtimes -- so a caller that wants a worker pool
-// degrades to inline single-threaded execution under the simulator
-// without special-casing, and simulated runs stay bit-reproducible.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -24,51 +15,16 @@
 #include <thread>
 #include <vector>
 
-#include "common/histogram.h"
 #include "sim/simulator.h"
 
 namespace cmom::net {
 
-// A fixed set of serial execution lanes.  Tasks posted to one lane run
-// in FIFO order, one at a time; distinct lanes run concurrently.  This
-// is exactly the contract a sharded pipeline stage needs: hash a key
-// to a lane and per-key ordering is preserved while throughput scales
-// with the lane count.
+// Placeholder for a worker-lane executor.  No runtime builds one any
+// more (the server runs one inline engine); the type survives only so
+// Runtime decorators that forward MakeExecutor keep compiling.
 class Executor {
  public:
   virtual ~Executor() = default;
-
-  // Per-lane hand-off instrumentation, maintained by implementations
-  // that own real queues.  All counters are cumulative since
-  // construction; the histograms are recorded by the lane's consumer.
-  struct LaneStats {
-    std::uint64_t posts = 0;           // tasks enqueued on this lane
-    std::uint64_t overflow_posts = 0;  // posts that overflowed the ring
-    std::uint64_t parks = 0;           // consumer sleeps on an empty lane
-    LogHistogram depth;                // queue depth seen at each dequeue
-    LogHistogram stall_ns;             // enqueue->dequeue latency per task
-  };
-
-  [[nodiscard]] virtual std::size_t worker_count() const = 0;
-
-  // Enqueues `fn` on lane `lane % worker_count()`.  Never blocks the
-  // caller: implementations with bounded queues must spill to an
-  // unbounded overflow path rather than wait for the consumer (a
-  // blocking Post deadlocks pipelines where the consumer needs a lock
-  // the producer holds).
-  virtual void Post(std::size_t lane, std::function<void()> fn) = 0;
-
-  // Tasks queued (not yet started) on a lane; an instantaneous reading
-  // for depth instrumentation, immediately stale.  O(1) and lock-free
-  // on ring-based implementations.
-  [[nodiscard]] virtual std::size_t PendingCount(std::size_t lane) const = 0;
-
-  // Snapshot of a lane's hand-off statistics.  Default: empty (an
-  // implementation without instrumentation).
-  [[nodiscard]] virtual LaneStats GetLaneStats(std::size_t lane) const {
-    (void)lane;
-    return {};
-  }
 };
 
 class Runtime {
@@ -84,9 +40,7 @@ class Runtime {
   // beyond the timer resolution.
   virtual void After(std::uint64_t delay_ns, std::function<void()> fn) = 0;
 
-  // A `lanes`-wide executor backed by real threads, or nullptr when
-  // this runtime is deterministic (SimRuntime): the caller must then
-  // run the work inline so simulated traces stay reproducible.
+  // Always nullptr: see Executor.
   [[nodiscard]] virtual std::unique_ptr<Executor> MakeExecutor(
       std::size_t lanes) {
     (void)lanes;
@@ -108,116 +62,6 @@ class SimRuntime final : public Runtime {
   sim::Simulator* simulator_;
 };
 
-// One dedicated thread per lane, fed through a bounded MPSC ring.
-//
-// Hand-off is wait-free in the common case: producers claim a slot with
-// one fetch-style CAS on the tail index and publish it with a release
-// store on the slot's sequence number (Vyukov bounded-queue protocol);
-// the single consumer pops with plain acquire loads -- no mutex, no
-// condvar, no cache line ping-pong beyond the indices themselves.  The
-// consumer parks on a futex (C++20 atomic wait) only when the lane is
-// empty; producers notify only when they observed the parked flag, so a
-// busy lane never pays a syscall.
-//
-// The ring is bounded but Post never blocks: when a lane's ring is full
-// the task spills to a mutex-guarded overflow queue, and once that
-// queue is non-empty EVERY subsequent post joins it until the consumer
-// has drained the ring and spliced the overflow back in -- preserving
-// lane FIFO order, which per-agent causal delivery depends on.
-// (Blocking in Post would deadlock the reaction pipeline: the dispatch
-// stage posts while holding the server lock that the shard worker
-// draining this ring needs to finish its current task.)
-//
-// Destruction joins every lane after its currently running task
-// completes; tasks still queued are discarded (owners shutting down a
-// pipeline rely on durable state, not on queued work draining).
-class ThreadPoolExecutor final : public Executor {
- public:
-  static constexpr std::size_t kDefaultRingCapacity = 1024;
-
-  explicit ThreadPoolExecutor(std::size_t lanes,
-                              std::size_t ring_capacity = kDefaultRingCapacity);
-  ~ThreadPoolExecutor() override;
-
-  ThreadPoolExecutor(const ThreadPoolExecutor&) = delete;
-  ThreadPoolExecutor& operator=(const ThreadPoolExecutor&) = delete;
-
-  [[nodiscard]] std::size_t worker_count() const override {
-    return lanes_.size();
-  }
-  void Post(std::size_t lane, std::function<void()> fn) override;
-  // O(1): (tail - head) off the ring indices plus the overflow count;
-  // no lock taken.
-  [[nodiscard]] std::size_t PendingCount(std::size_t lane) const override;
-  [[nodiscard]] LaneStats GetLaneStats(std::size_t lane) const override;
-
- private:
-  // One ring slot.  `seq` drives the Vyukov protocol: it reads
-  // `position` when the slot is free for the producer claiming that
-  // position, `position + 1` once the task is published, and
-  // `position + capacity` after the consumer recycled it for the next
-  // lap.
-  struct Slot {
-    std::atomic<std::size_t> seq{0};
-    std::uint64_t enqueue_ns = 0;
-    std::function<void()> fn;
-  };
-
-  struct OverflowItem {
-    std::function<void()> fn;
-    std::uint64_t enqueue_ns = 0;
-  };
-
-  struct Lane {
-    std::unique_ptr<Slot[]> slots;
-    std::size_t mask = 0;      // capacity - 1 (capacity is a power of 2)
-    std::size_t capacity = 0;
-
-    // Producers CAS `tail` to claim slots; the consumer owns `head` and
-    // publishes it for PendingCount readers.
-    alignas(64) std::atomic<std::size_t> tail{0};
-    alignas(64) std::atomic<std::size_t> head{0};
-
-    // Futex-style parking: the consumer advertises `parked`, re-checks
-    // emptiness (seq_cst fences on both sides make the Dekker argument
-    // sound), then waits for `wake_epoch` to move.
-    alignas(64) std::atomic<bool> parked{false};
-    std::atomic<std::uint32_t> wake_epoch{0};
-
-    // Spill path for a full ring; `overflow_count` doubles as the
-    // "overflow active" flag that keeps posts FIFO across the spill.
-    std::mutex overflow_mutex;
-    std::deque<OverflowItem> overflow;
-    std::atomic<std::size_t> overflow_count{0};
-
-    // Instrumentation.  Counters are atomics (producers bump posts);
-    // the histograms belong to the consumer and are snapshotted under
-    // stats_mutex.
-    std::atomic<std::uint64_t> posts{0};
-    std::atomic<std::uint64_t> overflow_posts{0};
-    std::atomic<std::uint64_t> parks{0};
-    mutable std::mutex stats_mutex;
-    LogHistogram depth_hist;
-    LogHistogram stall_hist;
-
-    std::thread thread;
-  };
-
-  // Multi-producer-safe claim+publish; false when the ring is full.
-  static bool TryPush(Lane& lane, std::function<void()>& fn,
-                      std::uint64_t enqueue_ns);
-  // Consumer-only pop; false when the ring is empty.
-  bool TryPop(Lane& lane, std::function<void()>& fn,
-              std::uint64_t& enqueue_ns);
-  // Consumer-only: splice overflow tasks into the (drained) ring.
-  bool RefillFromOverflow(Lane& lane);
-  void WakeLane(Lane& lane);
-  void LaneLoop(Lane& lane);
-
-  std::atomic<bool> stopping_{false};
-  std::vector<std::unique_ptr<Lane>> lanes_;
-};
-
 // Wall-clock time: a dedicated timer thread fires deferred callbacks.
 class ThreadRuntime final : public Runtime {
  public:
@@ -229,8 +73,6 @@ class ThreadRuntime final : public Runtime {
 
   std::uint64_t NowNs() override;
   void After(std::uint64_t delay_ns, std::function<void()> fn) override;
-  [[nodiscard]] std::unique_ptr<Executor> MakeExecutor(
-      std::size_t lanes) override;
 
  private:
   void TimerLoop();

@@ -25,7 +25,7 @@ inline constexpr const char* kChat = "chat";
 // Sends every "ping" back to its sender as a "pong" with the same
 // payload.  Counts pings for test introspection; the counter is
 // atomic because tests poll it from their own thread while a threaded
-// (or sharded) engine is still reacting.
+// engine is still reacting.
 class EchoAgent final : public mom::Agent {
  public:
   void React(mom::ReactionContext& ctx, const mom::Message& message) override;

@@ -12,9 +12,6 @@ mom::AgentServerOptions SimHarness::ServerOptions() {
   server_options.trace = &trace_;
   server_options.retransmit_timeout_ns = options_.retransmit_timeout_ns;
   server_options.max_retransmit_attempts = options_.max_retransmit_attempts;
-  server_options.engine_batch = options_.engine_batch;
-  server_options.channel_batch = options_.channel_batch;
-  server_options.engine_workers = options_.engine_workers;
   server_options.flow = options_.flow;
   return server_options;
 }

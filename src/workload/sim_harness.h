@@ -41,15 +41,6 @@ struct SimHarnessOptions {
   std::uint64_t retransmit_timeout_ns = 500ull * 1000 * 1000;
   // 0 = retry forever (the default, matching the reliable bus).
   std::uint32_t max_retransmit_attempts = 0;
-  // Batching limits, forwarded to every server (see
-  // AgentServerOptions).
-  std::size_t engine_batch = 16;
-  std::size_t channel_batch = 16;
-  // Forwarded to AgentServerOptions::engine_workers.  Under SimRuntime
-  // the executor request resolves to nullptr, so any value keeps the
-  // inline engine and bit-identical traces -- the knob exists here so
-  // one workload config struct can drive both harnesses.
-  std::size_t engine_workers = 0;
   // Credit windows, fair forwarding and admission control, forwarded
   // to every server (see flow::FlowOptions).
   flow::FlowOptions flow;

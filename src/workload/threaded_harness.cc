@@ -16,9 +16,6 @@ mom::AgentServerOptions ThreadedHarness::ServerOptions(std::uint64_t epoch) {
   mom::AgentServerOptions server_options;
   server_options.trace = &trace_;
   server_options.retransmit_timeout_ns = options_.retransmit_timeout_ns;
-  server_options.engine_batch = options_.engine_batch;
-  server_options.channel_batch = options_.channel_batch;
-  server_options.engine_workers = options_.engine_workers;
   server_options.flow = options_.flow;
   server_options.epoch = epoch;
   return server_options;
@@ -127,9 +124,9 @@ void ThreadedHarness::HaltAll() {
 }
 
 void ThreadedHarness::Crash(ServerId id) {
-  // ~AgentServer halts: shard workers join and their un-committed
-  // speculative reactions are discarded, leaving only what the store
-  // already committed -- the same cut a power failure would make.
+  // ~AgentServer halts: un-committed work is discarded, leaving only
+  // what the store already committed -- the same cut a power failure
+  // would make.
   servers_.at(id) = nullptr;
 }
 
@@ -198,7 +195,7 @@ Status ThreadedHarness::StopServer(ServerId id) {
   auto it = servers_.find(id);
   if (it == servers_.end() || it->second == nullptr) return Status::Ok();
   // Halt (not Shutdown): the control plane is about to rewrite the
-  // store, so every timer and worker must be out before it does.
+  // store, so every timer must be out before it does.
   it->second->Halt();
   it->second = nullptr;
   return Status::Ok();

@@ -47,14 +47,6 @@ struct ThreadedHarnessOptions {
   // control plane the raw store, so reconfig rewrites (operator
   // actions, not data-path writes) are never fault-injected.
   std::optional<mom::FaultyStoreOptions> store_fault;
-  // Batching limits, forwarded to every server (see
-  // AgentServerOptions).
-  std::size_t engine_batch = 16;
-  std::size_t channel_batch = 16;
-  // Engine shard workers per server (0 = inline engine).  The threaded
-  // runtime supports real parallelism, so this is where the knob does
-  // something; see AgentServerOptions::engine_workers.
-  std::size_t engine_workers = 0;
   // Credit windows, fair forwarding and admission control, forwarded
   // to every server (see flow::FlowOptions).  Tests shrink the
   // watermarks to force backpressure on small traffic volumes.
@@ -81,9 +73,9 @@ class ThreadedHarness final : public control::ClusterHost {
   // skipped, so this can be used to drain the survivors mid-outage.
   void WaitQuiescent();
 
-  // Crash: destroy a server's volatile half (joining its shard workers
-  // first; speculative un-committed reactions are discarded exactly as
-  // a power cut would).  Its store -- the "disk" -- survives.
+  // Crash: destroy a server's volatile half (un-committed work is
+  // discarded exactly as a power cut would).  Its store -- the "disk"
+  // -- survives.
   void Crash(ServerId id);
   // Rebuild a crashed server from its store and boot it; the installer
   // passed to Init() re-attaches the same agents.  The server comes
@@ -93,9 +85,9 @@ class ThreadedHarness final : public control::ClusterHost {
   // Shuts every server down (before network/runtime teardown).
   void ShutdownAll();
 
-  // ShutdownAll plus each server's teardown barrier: joins shard
-  // workers and bars timers, so the caller may inspect agent state
-  // without racing a worker thread (TSan-visible happens-before).
+  // ShutdownAll plus each server's teardown barrier: bars timers and
+  // waits out running callbacks, so the caller may inspect agent state
+  // without racing a server thread (TSan-visible happens-before).
   void HaltAll();
 
   // --- control::ClusterHost ------------------------------------------

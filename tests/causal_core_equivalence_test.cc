@@ -212,10 +212,12 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(11, 22, 33),
                        ::testing::Values(Pattern::kRing, Pattern::kUniform)),
     [](const auto& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "_seed" +
-             std::to_string(std::get<1>(info.param)) +
-             (std::get<2>(info.param) == Pattern::kRing ? "_ring"
-                                                        : "_uniform");
+      std::string name = "n";
+      name += std::to_string(std::get<0>(info.param));
+      name += "_seed";
+      name += std::to_string(std::get<1>(info.param));
+      name += std::get<2>(info.param) == Pattern::kRing ? "_ring" : "_uniform";
+      return name;
     });
 
 // End-to-end: the full simulated middleware with each core selected via

@@ -86,20 +86,6 @@ TEST_P(MatrixCoreByteIdentity, StampsAndImagesMatchTheBareClock) {
   }
 }
 
-TEST_P(MatrixCoreByteIdentity, BatchStampsMatchTheBareClock) {
-  const StampMode mode = GetParam();
-  CausalDomainClock clock(D(0), 3, mode);
-  auto core = MakeCausalCore(CausalCoreKind::kMatrix, D(0), 3, mode);
-  std::vector<Stamp> expected;
-  std::vector<Stamp> actual;
-  clock.PrepareSendBatch(D(1), 5, expected);
-  core->PrepareSendBatch(D(1), 5, actual);
-  ASSERT_EQ(expected.size(), actual.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(EncodeStamp(expected[i]), EncodeStamp(actual[i]));
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Modes, MatrixCoreByteIdentity,
                          ::testing::Values(StampMode::kFullMatrix,
                                            StampMode::kUpdates),

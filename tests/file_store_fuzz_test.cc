@@ -55,7 +55,7 @@ class FileStoreFuzzTest : public ::testing::Test {
     auto store = FileStore::Open(dir_).value();
     for (int i = 1; i <= kCommits; ++i) {
       store->Put("seq", Bytes{static_cast<std::uint8_t>(i)});
-      store->Put("k" + std::to_string(i % kKeys),
+      store->Put(std::string("k").append(std::to_string(i % kKeys)),
                  Bytes{static_cast<std::uint8_t>(i)});
       EXPECT_TRUE(store->Commit().ok());
       offsets.push_back(fs::file_size(dir_ / "wal.log"));
@@ -101,7 +101,7 @@ class FileStoreFuzzTest : public ::testing::Test {
           break;
         }
       }
-      auto value = store.Get("k" + std::to_string(j));
+      auto value = store.Get(std::string("k").append(std::to_string(j)));
       if (last == 0) {
         EXPECT_FALSE(value.has_value()) << context << " key k" << j;
       } else {

@@ -257,11 +257,13 @@ TEST_F(FileStoreTest, ManyKeysSurviveMixedWorkload) {
     auto store = FileStore::Open(dir_).value();
     for (int round = 0; round < 10; ++round) {
       for (int k = 0; k < 20; ++k) {
-        store->Put("k" + std::to_string(k),
+        store->Put(std::string("k").append(std::to_string(k)),
                    Bytes{static_cast<std::uint8_t>(round),
                          static_cast<std::uint8_t>(k)});
       }
-      if (round % 3 == 0) store->Delete("k" + std::to_string(round));
+      if (round % 3 == 0) {
+        store->Delete(std::string("k").append(std::to_string(round)));
+      }
       ASSERT_TRUE(store->Commit().ok());
     }
   }

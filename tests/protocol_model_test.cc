@@ -125,10 +125,12 @@ INSTANTIATE_TEST_SUITE_P(
                                          StampMode::kUpdates),
                        ::testing::Values(1, 2, 3, 4)),
     [](const auto& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) == StampMode::kUpdates ? "_upd"
-                                                             : "_full") +
-             "_seed" + std::to_string(std::get<2>(info.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(info.param));
+      name += std::get<1>(info.param) == StampMode::kUpdates ? "_upd" : "_full";
+      name += "_seed";
+      name += std::to_string(std::get<2>(info.param));
+      return name;
     });
 
 }  // namespace

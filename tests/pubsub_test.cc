@@ -180,11 +180,11 @@ TEST(PubSub, PerTopicTotalOrderAcrossPublishers) {
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(Publish(harness.server(ServerId(1)),
                         AgentId{ServerId(1), kPubLocal}, topic_id,
-                        "a" + std::to_string(i))
+                        std::string("a").append(std::to_string(i)))
                     .ok());
     ASSERT_TRUE(Publish(harness.server(ServerId(4)),
                         AgentId{ServerId(4), kPubLocal}, topic_id,
-                        "b" + std::to_string(i))
+                        std::string("b").append(std::to_string(i)))
                     .ok());
   }
   harness.Run();

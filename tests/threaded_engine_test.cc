@@ -1,17 +1,16 @@
-// Tests for the sharded parallel engine (AgentServerOptions::
-// engine_workers): per-agent delivery order and causality under a
-// router topology with real worker threads, byte-identical recovery
-// from a mid-run crash, bit-identical simulated traces when the
-// executor request resolves to the inline engine, and the O(1)
-// LogHistogram bucket edges.
+// Tests for the engine on wall-clock threads: per-agent delivery order
+// and causality under a router topology, byte-identical recovery from
+// a mid-run crash (with and without the pooled arena), the arena's
+// heap-allocation bound, and the O(1) LogHistogram bucket edges.
 //
-// The threaded tests are the ones the TSan job exists for: workers,
-// the channel/commit stages, retransmission timers and the test thread
-// all run concurrently here.
+// These are among the tests the TSan job exists for: transport
+// threads, retransmission timers and the test thread all drive the
+// servers concurrently here.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -22,7 +21,6 @@
 #include "mom/agent.h"
 #include "mom/agent_server.h"
 #include "workload/agents.h"
-#include "workload/sim_harness.h"
 #include "workload/threaded_harness.h"
 
 namespace cmom {
@@ -87,19 +85,17 @@ class ChainAgent final : public mom::Agent {
 };
 
 // ---------------------------------------------------------------------------
-// Parallel stress under a router topology.
+// Threaded stress under a router topology.
 
 // Bus(2, 2): servers S1 and S3 are leaf-only, S0/S2 route via the
 // backbone.  Four senders spray 1000+ messages across agents on both
-// leaves with engine_workers = 4; every (sender -> agent) stream must
-// come out in send order and the global trace must be causal and
-// exactly-once.
-TEST(ParallelEngine, RoutedStressKeepsPerAgentOrderAndCausality) {
+// leaves; every (sender -> agent) stream must come out in send order
+// and the global trace must be causal and exactly-once.
+TEST(ThreadedEngine, RoutedStressKeepsPerAgentOrderAndCausality) {
   constexpr std::uint32_t kAgentsPerServer = 8;
   constexpr std::uint64_t kSeqs = 160;  // 2 senders * 160 * 4 = 1280 msgs
 
   workload::ThreadedHarnessOptions options;
-  options.engine_workers = 4;
   options.retransmit_timeout_ns = 50ull * 1000 * 1000;
   workload::ThreadedHarness harness(domains::topologies::Bus(2, 2), options);
 
@@ -133,7 +129,7 @@ TEST(ParallelEngine, RoutedStressKeepsPerAgentOrderAndCausality) {
     }
   }
   harness.WaitQuiescent();
-  harness.HaltAll();  // joins shard workers: agent state is ours now
+  harness.HaltAll();  // bars server callbacks: agent state is ours now
 
   std::uint64_t delivered = 0;
   for (const auto& [key, agent] : agents) {
@@ -155,15 +151,10 @@ TEST(ParallelEngine, RoutedStressKeepsPerAgentOrderAndCausality) {
       << causal.violations.size() << " causality violations, first: "
       << (causal.violations.empty() ? "" : causal.violations[0].description);
   EXPECT_TRUE(checker.CheckExactlyOnce(trace).ok());
-
-  // The parallel path actually ran: commit-stage transactions happened.
-  const mom::ServerStats stats = harness.server(ServerId(1)).stats();
-  EXPECT_GT(stats.group_commit_hist.count, 0u);
-  EXPECT_EQ(stats.worker_reactions.size(), 4u);
 }
 
 // ---------------------------------------------------------------------------
-// Crash recovery: speculative reactions must not leak into the image.
+// Crash recovery: un-committed reactions must not leak into the image.
 
 Bytes ReferenceStateBytes(std::uint32_t agent, std::uint64_t total) {
   // What a ChainAgent must contain after seeing its round-robin share
@@ -190,7 +181,6 @@ constexpr std::uint64_t kCrashTotal = 300;
 // Shared by the default test and the arena on/off equivalence variant.
 std::map<std::uint32_t, Bytes> CrashWorkloadFinalState() {
   workload::ThreadedHarnessOptions options;
-  options.engine_workers = 4;
   options.retransmit_timeout_ns = 50ull * 1000 * 1000;
   workload::ThreadedHarness harness(domains::topologies::Flat(2), options);
 
@@ -208,10 +198,10 @@ std::map<std::uint32_t, Bytes> CrashWorkloadFinalState() {
 
   // Single sender => deterministic per-agent delivery order, so the
   // final state bytes are unique.  Crash the loaded server while the
-  // first half is (possibly) mid-pipeline: reactions whose group
-  // commit did not land are discarded with the workers and must be
-  // re-run from their durable QueueIN entries -- never skipped, never
-  // doubled, or the chain hash comes out different.
+  // first half is (possibly) still in flight: reactions whose commit
+  // did not land are discarded with the server and must be re-run from
+  // their durable QueueIN entries -- never skipped, never doubled, or
+  // the chain hash comes out different.
   for (std::uint64_t seq = 1; seq <= kCrashTotal / 2; ++seq) {
     EXPECT_TRUE(harness
                     .Send(ServerId(0), 7, ServerId(1),
@@ -242,7 +232,7 @@ std::map<std::uint32_t, Bytes> CrashWorkloadFinalState() {
   return state;
 }
 
-TEST(ParallelEngine, MidRunCrashRecoversByteIdenticalState) {
+TEST(ThreadedEngine, MidRunCrashRecoversByteIdenticalState) {
   const std::map<std::uint32_t, Bytes> state = CrashWorkloadFinalState();
   ASSERT_EQ(state.size(), 4u);
   for (const auto& [local, bytes] : state) {
@@ -251,12 +241,12 @@ TEST(ParallelEngine, MidRunCrashRecoversByteIdenticalState) {
   }
 }
 
-TEST(ParallelEngine, ArenaAllocatorKeepsCrashRecoveryByteIdentical) {
+TEST(ThreadedEngine, ArenaAllocatorKeepsCrashRecoveryByteIdentical) {
   // The pooled arena must be invisible to durable state: the same
   // crash workload, run with recycled buffers and with plain heap
   // allocation, has to recover every agent to byte-identical images.
   // A stale byte leaking out of a reused buffer -- a frame outliving
-  // its batch, a payload released before its group commit -- shows up
+  // its batch, a payload released while still referenced -- shows up
   // here as a chain-hash divergence.
   BufferPool::SetEnabled(false);
   const std::map<std::uint32_t, Bytes> heap_state = CrashWorkloadFinalState();
@@ -280,38 +270,50 @@ TEST(ParallelEngine, ArenaAllocatorKeepsCrashRecoveryByteIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Simulated runs ignore the knob: traces stay bit-identical.
+// The arena pays on the inline engine: a short run, cold freelists
+// included, stays under half a heap allocation per message.
 
-causality::Trace SimTrace(std::size_t engine_workers) {
-  workload::SimHarnessOptions options;
-  options.engine_workers = engine_workers;
-  workload::SimHarness harness(domains::topologies::Bus(2, 2), options);
+// Sends 128 messages from S0 round-robin to 16 sink agents on `loaded`
+// and returns the BufferPool heap allocations per message over the run.
+double HeapAllocsPerMessage(domains::MomConfig config, ServerId loaded) {
+  constexpr std::size_t kMessages = 128;
+  constexpr std::uint32_t kAgents = 16;
+  workload::ThreadedHarness harness(std::move(config));
   EXPECT_TRUE(harness
-                  .Init([](ServerId id, mom::AgentServer& server) {
-                    if (id == ServerId(3)) {
+                  .Init([&](ServerId id, mom::AgentServer& server) {
+                    if (id != loaded) return;
+                    for (std::uint32_t a = 0; a < kAgents; ++a) {
                       server.AttachAgent(
-                          1, std::make_unique<workload::EchoAgent>());
+                          a, std::make_unique<workload::SinkAgent>());
                     }
                   })
                   .ok());
   EXPECT_TRUE(harness.BootAll().ok());
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_TRUE(
-        harness.Send(ServerId(1), 7, ServerId(3), 1, workload::kPing).ok());
+  const BufferPool::Counters before = BufferPool::Totals();
+  for (std::size_t i = 0; i < kMessages; ++i) {
+    EXPECT_TRUE(harness
+                    .Send(ServerId(0), 99, loaded,
+                          static_cast<std::uint32_t>(i % kAgents), "sink")
+                    .ok());
   }
-  harness.Run();
-  EXPECT_TRUE(harness.CheckQuiescent().ok());
-  return harness.trace().Snapshot();
+  harness.WaitQuiescent();
+  const BufferPool::Counters after = BufferPool::Totals();
+  harness.HaltAll();
+  return static_cast<double>(after.heap_allocations() -
+                             before.heap_allocations()) /
+         static_cast<double>(kMessages);
 }
 
-TEST(ParallelEngine, SimulatorTracesBitIdenticalRegardlessOfWorkerKnob) {
-  // SimRuntime::MakeExecutor returns nullptr, so engine_workers = 8
-  // falls back to the inline engine and the cost-modeled schedule --
-  // and with it the trace -- is exactly the engine_workers = 0 one.
-  const causality::Trace base = SimTrace(0);
-  const causality::Trace parallel = SimTrace(8);
-  ASSERT_FALSE(base.empty());
-  EXPECT_EQ(base, parallel);
+TEST(ThreadedEngine, ArenaHoldsHeapAllocationsPerMessageUnderHalf) {
+  ASSERT_TRUE(BufferPool::enabled());
+  const double flat =
+      HeapAllocsPerMessage(domains::topologies::Flat(2), ServerId(1));
+  const double bus =
+      HeapAllocsPerMessage(domains::topologies::Bus(2, 2), ServerId(3));
+  RecordProperty("flat_heap_allocs_per_message", std::to_string(flat));
+  RecordProperty("bus_heap_allocs_per_message", std::to_string(bus));
+  EXPECT_LE(flat, 0.5) << "Flat(2): " << flat << " heap allocs/message";
+  EXPECT_LE(bus, 0.5) << "Bus(2,2): " << bus << " heap allocs/message";
 }
 
 // ---------------------------------------------------------------------------

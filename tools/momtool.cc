@@ -22,15 +22,14 @@
 //   momtool estimate <config> <traffic>   analytic cost of a config
 //                                         under a traffic profile
 //   momtool tcpsmoke <servers> <pings>    boot a flat MOM over real TCP
-//       [--base-port P] [--workers N]     loopback sockets with fault
+//       [--base-port P]                   loopback sockets with fault
 //       [--drop p] [--dup p] [--disc p]   injection, run a ping storm,
 //       [--seed s] [--core K]             verify causal exactly-once
 //                                         delivery and print transport
-//                                         health, commit counters, the
-//                                         active causal core per domain
-//                                         (K = matrix|reduced|hybrid),
-//                                         and (with --workers) the
-//                                         parallel engine's shard stats
+//                                         health, commit counters and
+//                                         the active causal core per
+//                                         domain (K = matrix|reduced|
+//                                         hybrid)
 //   momtool storestat <dir>               inspect a FileStore directory:
 //                                         keys and bytes per key-space
 //                                         prefix, plus WAL/snapshot
@@ -318,35 +317,6 @@ void PrintServerCommitStats(ServerId id, const mom::ServerStats& stats) {
               stats.engine_batch_hist.ToString().c_str());
   std::printf("S%u:   channel batch %s\n", id.value(),
               stats.channel_batch_hist.ToString().c_str());
-  // Parallel-engine pipeline health (all-zero under the inline engine).
-  if (stats.group_commit_hist.count > 0) {
-    std::printf("S%u:   group commit  %s\n", id.value(),
-                stats.group_commit_hist.ToString().c_str());
-    std::printf("S%u:   shard depth   %s\n", id.value(),
-                stats.shard_depth_hist.ToString().c_str());
-  }
-  // Lock-free lane hand-off health: posts that spilled past the ring
-  // into the overflow queue, consumer futex parks, and the consumer's
-  // view of queue depth / task stall time (ns from post to pop).
-  if (stats.lane_posts > 0) {
-    std::printf("S%u:   lanes         posts=%llu overflow=%llu parks=%llu\n",
-                id.value(), static_cast<unsigned long long>(stats.lane_posts),
-                static_cast<unsigned long long>(stats.lane_overflow_posts),
-                static_cast<unsigned long long>(stats.lane_parks));
-    std::printf("S%u:   lane depth    %s\n", id.value(),
-                stats.lane_depth_hist.ToString().c_str());
-    std::printf("S%u:   lane stall ns %s\n", id.value(),
-                stats.lane_stall_ns_hist.ToString().c_str());
-  }
-  if (!stats.worker_reactions.empty()) {
-    std::printf("S%u:   workers      ", id.value());
-    for (std::size_t w = 0; w < stats.worker_reactions.size(); ++w) {
-      std::printf(" w%zu=%llu(%.1fms)", w,
-                  static_cast<unsigned long long>(stats.worker_reactions[w]),
-                  static_cast<double>(stats.worker_busy_ns[w]) / 1e6);
-    }
-    std::printf("\n");
-  }
   // Flow-control health: only printed when backpressure actually
   // engaged, so un-throttled runs keep their historical output.
   if (stats.credit_blocked > 0 || stats.sends_deferred > 0 ||
@@ -448,7 +418,6 @@ int TcpSmoke(int argc, char** argv) {
     return 2;
   }
   std::uint16_t base_port = 26000;
-  std::size_t engine_workers = 0;
   clocks::CausalCoreKind core = clocks::CausalCoreKind::kMatrix;
   net::FaultyNetworkOptions fault;
   bool any_fault = false;
@@ -473,9 +442,6 @@ int TcpSmoke(int argc, char** argv) {
         return 2;
       }
       base_port = static_cast<std::uint16_t>(value);
-    } else if (std::strcmp(argv[arg], "--workers") == 0) {
-      if (!ParseValue("--workers", argc, argv, arg, 0, 64, value)) return 2;
-      engine_workers = static_cast<std::size_t>(value);
     } else if (std::strcmp(argv[arg], "--drop") == 0) {
       if (!ParseValue("--drop", argc, argv, arg, 0, 1, value)) return 2;
       fault.model.drop_probability = value;
@@ -528,7 +494,6 @@ int TcpSmoke(int argc, char** argv) {
     mom::AgentServerOptions options;
     options.trace = &trace;
     options.retransmit_timeout_ns = 100ull * 1000 * 1000;
-    options.engine_workers = engine_workers;
     servers.push_back(std::make_unique<mom::AgentServer>(
         deployment.value(), id, endpoints.back().get(), &runtime,
         stores.back().get(), options));
@@ -1132,7 +1097,7 @@ int main(int argc, char** argv) {
                "  momtool split <traffic> <max-domain-size>\n"
                "  momtool estimate <config> <traffic>\n"
                "  momtool tcpsmoke <servers> <pings> [--base-port P] "
-               "[--workers N] [--drop p] [--dup p] [--disc p] [--seed s]\n"
+               "[--drop p] [--dup p] [--disc p] [--seed s]\n"
                "  momtool storestat <store-dir>\n"
                "  momtool dlq <store-dir>\n"
                "  momtool epoch <store-dir> [--cutover <server-id>]\n"
