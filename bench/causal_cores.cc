@@ -1,12 +1,11 @@
 // Causal-core comparison: timestamp bytes, hold-back behaviour and
-// throughput of the three pluggable causal cores as the domain grows.
+// throughput of the pluggable causal cores as the domain grows.
 //
 // The paper's matrix clock pays O(s^2) per timestamp, which is the
-// force that caps domain size and drives the splitter.  The reduced
-// core (Drummond-Barbosa) ships only the destination column plus the
-// Appendix-A delta -- O(s).  The hybrid core (Almeida) ships per-link
-// FIFO headers plus an explicit causal-barrier set -- independent of s
-// at a fixed in-flight load over a bounded partner set.  This bench
+// force that caps domain size and drives the splitter.  The hybrid
+// core (Almeida) ships per-link FIFO headers plus an explicit
+// causal-barrier set -- independent of s at a fixed in-flight load over
+// a bounded partner set.  This bench
 // runs the SAME seeded traffic schedule through each core at n in
 // {4, 8, 16, 32, 64} members and reports bytes/msg, hold-back depth,
 // delivery latency (in scheduler steps) and msgs/sec.
@@ -312,7 +311,7 @@ void WriteJson(const std::string& path, const std::vector<RunResult>& results,
 
   // Headline: stamp growth from the smallest to the largest n, per
   // (core, pattern).  Under ring traffic matrix should grow
-  // ~quadratically, reduced ~linearly, and hybrid should stay flat
+  // ~quadratically and hybrid should stay flat
   // (ratio near 1); uniform traffic shows hybrid's graceful
   // degradation.
   auto at = [&](std::string_view core, std::string_view pattern,
@@ -328,18 +327,17 @@ void WriteJson(const std::string& path, const std::vector<RunResult>& results,
     return found;
   };
   std::fprintf(out, "  \"summary\": {\n");
-  const char* cores[] = {"matrix", "matrix_updates", "reduced", "hybrid"};
   for (const char* pattern : {"ring", "uniform"}) {
-    for (std::size_t i = 0; i < 4; ++i) {
-      const RunResult* small = at(cores[i], pattern, false);
-      const RunResult* large = at(cores[i], pattern, true);
+    for (const char* core : {"matrix", "matrix_updates", "hybrid"}) {
+      const RunResult* small = at(core, pattern, false);
+      const RunResult* large = at(core, pattern, true);
       const double growth =
           (small != nullptr && large != nullptr &&
            small->stamp_bytes_per_msg > 0)
               ? large->stamp_bytes_per_msg / small->stamp_bytes_per_msg
               : 0;
       std::fprintf(out, "    \"%s_%s_stamp_growth\": %.2f,\n", pattern,
-                   cores[i], growth);
+                   core, growth);
     }
   }
   std::fprintf(out, "    \"all_ok\": %s\n  }\n}\n",
@@ -384,7 +382,6 @@ int main(int argc, char** argv) {
       const Cell cells[] = {
           {clocks::CausalCoreKind::kMatrix, clocks::StampMode::kFullMatrix},
           {clocks::CausalCoreKind::kMatrix, clocks::StampMode::kUpdates},
-          {clocks::CausalCoreKind::kReduced, clocks::StampMode::kFullMatrix},
           {clocks::CausalCoreKind::kHybrid, clocks::StampMode::kFullMatrix},
       };
       for (const Cell& cell : cells) {

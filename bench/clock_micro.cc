@@ -8,7 +8,6 @@
 
 #include <memory>
 
-#include "clocks/causal_clock.h"
 #include "clocks/causal_core.h"
 #include "clocks/matrix_clock.h"
 #include "clocks/stamp.h"
@@ -20,9 +19,9 @@ using cmom::DomainServerId;
 using cmom::Rng;
 using cmom::clocks::CausalCore;
 using cmom::clocks::CausalCoreKind;
-using cmom::clocks::CausalDomainClock;
 using cmom::clocks::MakeCausalCore;
 using cmom::clocks::MatrixClock;
+using cmom::clocks::MatrixClockCore;
 using cmom::clocks::Stamp;
 using cmom::clocks::StampMode;
 
@@ -52,7 +51,7 @@ BENCHMARK(BM_MatrixMerge)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_PrepareSendFullMatrix(benchmark::State& state) {
   const std::size_t size = static_cast<std::size_t>(state.range(0));
-  CausalDomainClock clock(DomainServerId(0), size, StampMode::kFullMatrix);
+  MatrixClockCore clock(DomainServerId(0), size, StampMode::kFullMatrix);
   std::uint16_t dest = 1;
   for (auto _ : state) {
     Stamp stamp = clock.PrepareSend(DomainServerId(dest));
@@ -64,7 +63,7 @@ BENCHMARK(BM_PrepareSendFullMatrix)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_PrepareSendUpdates(benchmark::State& state) {
   const std::size_t size = static_cast<std::size_t>(state.range(0));
-  CausalDomainClock clock(DomainServerId(0), size, StampMode::kUpdates);
+  MatrixClockCore clock(DomainServerId(0), size, StampMode::kUpdates);
   std::uint16_t dest = 1;
   for (auto _ : state) {
     Stamp stamp = clock.PrepareSend(DomainServerId(dest));
@@ -77,20 +76,20 @@ BENCHMARK(BM_PrepareSendUpdates)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 void BM_CheckAndCommit(benchmark::State& state) {
   const std::size_t size = static_cast<std::size_t>(state.range(0));
   // Sender 1 streams to receiver 0; the receiver checks and merges.
-  CausalDomainClock sender(DomainServerId(1), size, StampMode::kFullMatrix);
-  CausalDomainClock receiver(DomainServerId(0), size, StampMode::kFullMatrix);
+  MatrixClockCore sender(DomainServerId(1), size, StampMode::kFullMatrix);
+  MatrixClockCore receiver(DomainServerId(0), size, StampMode::kFullMatrix);
   for (auto _ : state) {
     Stamp stamp = sender.PrepareSend(DomainServerId(0));
-    auto check = receiver.Check(DomainServerId(1), stamp);
+    auto check = receiver.CheckReceive(DomainServerId(1), stamp);
     benchmark::DoNotOptimize(check);
-    receiver.Commit(DomainServerId(1), stamp);
+    receiver.OnDeliver(DomainServerId(1), stamp);
   }
 }
 BENCHMARK(BM_CheckAndCommit)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_StampEncodeDecode(benchmark::State& state) {
   const std::size_t size = static_cast<std::size_t>(state.range(0));
-  CausalDomainClock clock(DomainServerId(0), size, StampMode::kFullMatrix);
+  MatrixClockCore clock(DomainServerId(0), size, StampMode::kFullMatrix);
   const Stamp stamp = clock.PrepareSend(DomainServerId(1));
   for (auto _ : state) {
     cmom::ByteWriter writer;
@@ -104,9 +103,9 @@ void BM_StampEncodeDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_StampEncodeDecode)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
-// The four causal_core choices a config can name, swept side by side:
-// the paper's matrix baseline in both stamp modes, the Drummond-Barbosa
-// reduced core, and the Almeida-style hybrid core.  The second range
+// The three causal_core choices a config can name, swept side by side:
+// the paper's matrix baseline in both stamp modes and the Almeida-style
+// hybrid core.  The second range
 // argument indexes this table; each JSON row is labeled with the core
 // name so downstream tooling can group per-core series.
 struct CoreChoice {
@@ -117,7 +116,6 @@ struct CoreChoice {
 constexpr CoreChoice kCoreChoices[] = {
     {"matrix_full", CausalCoreKind::kMatrix, StampMode::kFullMatrix},
     {"matrix_updates", CausalCoreKind::kMatrix, StampMode::kUpdates},
-    {"reduced", CausalCoreKind::kReduced, StampMode::kUpdates},
     {"hybrid", CausalCoreKind::kHybrid, StampMode::kUpdates},
 };
 
@@ -141,7 +139,7 @@ void BM_CorePrepareSend(benchmark::State& state) {
       stamps == 0 ? 0 : static_cast<double>(bytes) / static_cast<double>(stamps);
 }
 BENCHMARK(BM_CorePrepareSend)
-    ->ArgsProduct({{4, 16, 64, 256}, {0, 1, 2, 3}})
+    ->ArgsProduct({{4, 16, 64, 256}, {0, 1, 2}})
     ->ArgNames({"s", "core"});
 
 void BM_CoreCheckAndDeliver(benchmark::State& state) {
@@ -161,12 +159,12 @@ void BM_CoreCheckAndDeliver(benchmark::State& state) {
   state.SetLabel(choice.name);
 }
 BENCHMARK(BM_CoreCheckAndDeliver)
-    ->ArgsProduct({{4, 16, 64, 256}, {0, 1, 2, 3}})
+    ->ArgsProduct({{4, 16, 64, 256}, {0, 1, 2}})
     ->ArgNames({"s", "core"});
 
 void BM_ClockStatePersistImage(benchmark::State& state) {
   const std::size_t size = static_cast<std::size_t>(state.range(0));
-  CausalDomainClock clock(DomainServerId(0), size, StampMode::kUpdates);
+  MatrixClockCore clock(DomainServerId(0), size, StampMode::kUpdates);
   for (auto _ : state) {
     cmom::ByteWriter writer;
     clock.EncodeState(writer);

@@ -10,9 +10,9 @@
 // deterministic: every round takes identical simulated time, so the
 // average is exact after the warm-up round.
 //
-// A second section re-runs the same experiment under all four
-// causal_core choices (matrix full / matrix updates / reduced /
-// hybrid) and records one JSON row per (core, n) pair in
+// A second section re-runs the same experiment under all three
+// causal_core choices (matrix full / matrix updates / hybrid) and
+// records one JSON row per (core, n) pair in
 // BENCH_fig7_cores.json (--out to redirect): the figure's quadratic
 // blow-up is a property of the matrix core, not of causal delivery.
 #include <cstdio>
@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "clocks/causal_clock.h"
 #include "clocks/causal_core.h"
 #include "domains/topologies.h"
 #include "workload/experiments.h"
@@ -39,7 +38,6 @@ constexpr CoreChoice kCoreChoices[] = {
      clocks::StampMode::kFullMatrix},
     {"matrix_updates", clocks::CausalCoreKind::kMatrix,
      clocks::StampMode::kUpdates},
-    {"reduced", clocks::CausalCoreKind::kReduced, clocks::StampMode::kUpdates},
     {"hybrid", clocks::CausalCoreKind::kHybrid, clocks::StampMode::kUpdates},
 };
 

@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "clocks/causal_clock.h"
+#include "clocks/stamp.h"
 #include "domains/topologies.h"
 #include "workload/agents.h"
 #include "workload/metrics.h"

@@ -521,10 +521,9 @@ Decision Autopilot::Tick() {
     bool went_forward = false;
     if (recovered.ok()) {
       for (ServerId id : plan.value().AllServers()) {
-        mom::Store* store = host_->StoreOf(id);
-        if (store == nullptr) continue;
-        auto now = control::CurrentEpochOf(*store);
-        if (now.ok() && now.value() == plan.value().to_epoch) {
+        auto now = coordinator.EpochRecordOf(id, control::kEpochCurrentKey);
+        if (now.ok() && now.value().has_value() &&
+            now.value()->epoch == plan.value().to_epoch) {
           went_forward = true;
           break;
         }

@@ -6,9 +6,9 @@
 //
 //   route_cost   traffic-weighted per-message cost over routed paths,
 //                where each hop is priced with the *core-aware* stamp
-//                cost of the domain it crosses (s^2 matrix, s reduced,
-//                O(1) hybrid -- clocks::CausalCoreStampCost), i.e. the
-//                same model CostEstimator::Estimate applies;
+//                cost of the domain it crosses (s^2 matrix, O(1)
+//                hybrid -- clocks::CausalCoreStampCost), i.e. the same
+//                model CostEstimator::Estimate applies;
 //   router_load  traffic-weighted count of extra hops -- every unit is
 //                a message some router-server must re-stamp, stage and
 //                forward, so this tracks the router backlog pressure a

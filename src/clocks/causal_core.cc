@@ -2,23 +2,15 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 #include <utility>
 
 namespace cmom::clocks {
-namespace {
-
-// Leading u16 of a sentinel-tagged durable record.  A legacy matrix
-// image starts with the domain-local self id, which is always a valid
-// matrix index and therefore < 0xFFFF.
-constexpr std::uint16_t kCoreStateSentinel = 0xFFFF;
-
-}  // namespace
 
 std::string_view CausalCoreKindName(CausalCoreKind kind) {
   switch (kind) {
     case CausalCoreKind::kMatrix: return "matrix";
     case CausalCoreKind::kHybrid: return "hybrid";
-    case CausalCoreKind::kReduced: return "reduced";
   }
   return "?";
 }
@@ -26,7 +18,6 @@ std::string_view CausalCoreKindName(CausalCoreKind kind) {
 std::optional<CausalCoreKind> ParseCausalCoreKind(std::string_view name) {
   if (name == "matrix") return CausalCoreKind::kMatrix;
   if (name == "hybrid") return CausalCoreKind::kHybrid;
-  if (name == "reduced") return CausalCoreKind::kReduced;
   return std::nullopt;
 }
 
@@ -34,50 +25,46 @@ std::size_t CausalCoreStampCost(CausalCoreKind kind,
                                 std::size_t domain_size) {
   switch (kind) {
     case CausalCoreKind::kMatrix: return domain_size * domain_size;
-    case CausalCoreKind::kReduced: return domain_size;
     case CausalCoreKind::kHybrid: return 1;
   }
   return domain_size * domain_size;
 }
 
-bool MatrixClockCore::Equals(const CausalCore& other) const {
-  const auto* rhs = dynamic_cast<const MatrixClockCore*>(&other);
-  return rhs != nullptr && clock_ == rhs->clock_;
-}
-
 // ---------------------------------------------------------------------------
-// ReducedMatrixCore
+// MatrixClockCore
 
-ReducedMatrixCore::ReducedMatrixCore(DomainServerId self,
-                                     std::size_t domain_size)
-    : self_(self), matrix_(domain_size), tracker_(domain_size) {
+MatrixClockCore::MatrixClockCore(DomainServerId self, std::size_t domain_size,
+                                 StampMode mode)
+    : self_(self), mode_(mode), matrix_(domain_size), tracker_(domain_size) {
   assert(self.value() < domain_size);
 }
 
-Stamp ReducedMatrixCore::PrepareSend(DomainServerId dest) {
+Stamp MatrixClockCore::PrepareSend(DomainServerId dest) {
   assert(dest.value() < matrix_.size());
   matrix_.Increment(self_, dest);
   ++version_;
   tracker_.NoteChange(self_, dest, std::nullopt);
-  Stamp stamp = tracker_.CollectFor(dest, matrix_);
-  // Top the delta up to the complete destination column so the
-  // receiver's delivery check never depends on link history.  Column
-  // cells the delta already carries are not repeated.
+  if (mode_ == StampMode::kUpdates) {
+    return tracker_.CollectFor(dest, matrix_);
+  }
+  Stamp stamp;
+  stamp.entries.reserve(matrix_.size() * matrix_.size());
   for (std::uint16_t row = 0; row < matrix_.size(); ++row) {
-    const DomainServerId r{row};
-    const std::uint64_t value = matrix_.at(r, dest);
-    if (value == 0) continue;
-    if (stamp.Find(r, dest) == nullptr) {
-      stamp.entries.push_back(StampEntry{r, dest, value});
+    for (std::uint16_t col = 0; col < matrix_.size(); ++col) {
+      stamp.entries.push_back(StampEntry{
+          DomainServerId(row), DomainServerId(col),
+          matrix_.at(DomainServerId(row), DomainServerId(col))});
     }
   }
   return stamp;
 }
 
-CheckResult ReducedMatrixCore::CheckReceive(DomainServerId src,
-                                            const Stamp& stamp) const {
+CheckResult MatrixClockCore::CheckReceive(DomainServerId src,
+                                          const Stamp& stamp) const {
   assert(src.value() < matrix_.size());
   const StampEntry* own = stamp.Find(src, self_);
+  // PrepareSend always bumps M[src][dest] last, so the entry is present
+  // in both full and delta stamps; a stamp without it is corrupt.
   assert(own != nullptr && "stamp lacks its own send counter");
   const std::uint64_t delivered = matrix_.at(src, self_);
   if (own->value <= delivered) return CheckResult::kDuplicate;
@@ -89,7 +76,7 @@ CheckResult ReducedMatrixCore::CheckReceive(DomainServerId src,
   return CheckResult::kDeliver;
 }
 
-void ReducedMatrixCore::OnDeliver(DomainServerId src, const Stamp& stamp) {
+void MatrixClockCore::OnDeliver(DomainServerId src, const Stamp& stamp) {
   bool changed = false;
   for (const StampEntry& e : stamp.entries) {
     if (e.value > matrix_.at(e.row, e.col)) {
@@ -101,47 +88,51 @@ void ReducedMatrixCore::OnDeliver(DomainServerId src, const Stamp& stamp) {
   if (changed) ++version_;
 }
 
-std::unique_ptr<CausalCore> ReducedMatrixCore::Remap(
+std::unique_ptr<CausalCore> MatrixClockCore::Remap(
     DomainServerId new_self, std::size_t new_size,
     std::span<const std::optional<DomainServerId>> old_of_new) const {
   assert(new_self.value() < new_size);
-  auto out = std::unique_ptr<ReducedMatrixCore>(new ReducedMatrixCore());
+  auto out = std::unique_ptr<MatrixClockCore>(new MatrixClockCore());
   out->self_ = new_self;
+  out->mode_ = mode_;
   out->matrix_ = matrix_.Remap(new_size, old_of_new);
   out->tracker_ = tracker_.Remap(new_size, old_of_new);
   return out;
 }
 
-void ReducedMatrixCore::EncodeState(ByteWriter& out) const {
-  out.WriteU16(kCoreStateSentinel);
-  out.WriteU8(static_cast<std::uint8_t>(CausalCoreKind::kReduced));
+void MatrixClockCore::EncodeState(ByteWriter& out) const {
+  out.WriteU8(static_cast<std::uint8_t>(CausalCoreKind::kMatrix));
   out.WriteU16(self_.value());
+  out.WriteU8(static_cast<std::uint8_t>(mode_));
   matrix_.Encode(out);
-  tracker_.Encode(out);
 }
 
-Result<std::unique_ptr<CausalCore>> ReducedMatrixCore::DecodeBody(
+Result<std::unique_ptr<CausalCore>> MatrixClockCore::DecodeBody(
     ByteReader& in) {
   auto self = in.ReadU16();
   if (!self.ok()) return self.status();
+  auto mode = in.ReadU8();
+  if (!mode.ok()) return mode.status();
+  if (mode.value() > static_cast<std::uint8_t>(StampMode::kUpdates)) {
+    return Status::DataLoss("bad stamp mode");
+  }
   auto matrix = MatrixClock::Decode(in);
   if (!matrix.ok()) return matrix.status();
-  auto tracker = UpdatesTracker::Decode(in);
-  if (!tracker.ok()) return tracker.status();
   if (self.value() >= matrix.value().size()) {
-    return Status::DataLoss("reduced core self id out of range");
+    return Status::DataLoss("matrix core self id out of range");
   }
-  auto core = std::unique_ptr<ReducedMatrixCore>(new ReducedMatrixCore());
+  auto core = std::unique_ptr<MatrixClockCore>(new MatrixClockCore());
   core->self_ = DomainServerId(self.value());
+  core->mode_ = static_cast<StampMode>(mode.value());
   core->matrix_ = std::move(matrix).value();
-  core->tracker_ = std::move(tracker).value();
+  core->tracker_ = UpdatesTracker::AllChanged(core->matrix_);
   return std::unique_ptr<CausalCore>(std::move(core));
 }
 
-bool ReducedMatrixCore::Equals(const CausalCore& other) const {
-  const auto* rhs = dynamic_cast<const ReducedMatrixCore*>(&other);
-  return rhs != nullptr && self_ == rhs->self_ && matrix_ == rhs->matrix_ &&
-         tracker_ == rhs->tracker_;
+bool MatrixClockCore::Equals(const CausalCore& other) const {
+  const auto* rhs = dynamic_cast<const MatrixClockCore*>(&other);
+  return rhs != nullptr && self_ == rhs->self_ && mode_ == rhs->mode_ &&
+         matrix_ == rhs->matrix_;
 }
 
 // ---------------------------------------------------------------------------
@@ -313,7 +304,6 @@ std::unique_ptr<CausalCore> HybridBufferingCore::Remap(
 }
 
 void HybridBufferingCore::EncodeState(ByteWriter& out) const {
-  out.WriteU16(kCoreStateSentinel);
   out.WriteU8(static_cast<std::uint8_t>(CausalCoreKind::kHybrid));
   out.WriteU16(self_.value());
   out.WriteVarU64(size_);
@@ -397,40 +387,29 @@ std::unique_ptr<CausalCore> MakeCausalCore(CausalCoreKind kind,
                                            DomainServerId self,
                                            std::size_t domain_size,
                                            StampMode mode) {
-  switch (kind) {
-    case CausalCoreKind::kMatrix:
-      return std::make_unique<MatrixClockCore>(self, domain_size, mode);
-    case CausalCoreKind::kHybrid:
-      return std::make_unique<HybridBufferingCore>(self, domain_size);
-    case CausalCoreKind::kReduced:
-      return std::make_unique<ReducedMatrixCore>(self, domain_size);
+  if (kind == CausalCoreKind::kHybrid) {
+    return std::make_unique<HybridBufferingCore>(self, domain_size);
   }
   return std::make_unique<MatrixClockCore>(self, domain_size, mode);
 }
 
-Result<std::unique_ptr<CausalCore>> DecodeCausalCoreState(ByteReader& in) {
-  auto lead = in.ReadU16();
-  if (!lead.ok()) return lead.status();
-  if (lead.value() != kCoreStateSentinel) {
-    // Legacy matrix image: the u16 we consumed was the self id.
-    auto clock = CausalDomainClock::DecodeStateTail(
-        in, DomainServerId(lead.value()));
-    if (!clock.ok()) return clock.status();
-    return std::unique_ptr<CausalCore>(
-        std::make_unique<MatrixClockCore>(std::move(clock).value()));
-  }
+Result<std::unique_ptr<CausalCore>> DecodeCausalCoreState(
+    std::span<const std::uint8_t> image) {
+  ByteReader in(image);
   auto kind = in.ReadU8();
   if (!kind.ok()) return kind.status();
-  switch (static_cast<CausalCoreKind>(kind.value())) {
-    case CausalCoreKind::kHybrid:
-      return HybridBufferingCore::DecodeBody(in);
-    case CausalCoreKind::kReduced:
-      return ReducedMatrixCore::DecodeBody(in);
-    case CausalCoreKind::kMatrix:
-      break;  // the matrix core never writes tagged records
+  auto core = [&]() -> Result<std::unique_ptr<CausalCore>> {
+    switch (static_cast<CausalCoreKind>(kind.value())) {
+      case CausalCoreKind::kMatrix: return MatrixClockCore::DecodeBody(in);
+      case CausalCoreKind::kHybrid: return HybridBufferingCore::DecodeBody(in);
+    }
+    return Status::DataLoss(std::string("unknown causal core kind ")
+                                .append(std::to_string(kind.value())));
+  }();
+  if (core.ok() && !in.exhausted()) {
+    return Status::DataLoss("trailing bytes in causal core image");
   }
-  return Status::DataLoss("unknown causal core kind " +
-                          std::to_string(kind.value()));
+  return core;
 }
 
 }  // namespace cmom::clocks

@@ -2,11 +2,10 @@
 //
 // The paper's per-domain matrix clock is one point in a design space:
 // Almeida's hybrid buffering (constant-size timestamps, receiver-side
-// hold-back keyed on per-link FIFO plus causal barriers) and the
-// Drummond-Barbosa matrix-clock complexity reduction attack the O(s^2)
-// timestamp cost that caps domain size.  CausalCore factors the causal
-// layer behind a strategy interface so the same middleware, benches and
-// chaos harness can compare all three.
+// hold-back keyed on per-link FIFO plus causal barriers) attacks the
+// O(s^2) timestamp cost that caps domain size.  CausalCore factors the
+// causal layer behind a strategy interface so the same middleware,
+// benches and chaos harness can compare both.
 //
 // Every core implements *exact* per-domain causal delivery: a message
 // from src to self is deliverable iff every message destined to self in
@@ -16,12 +15,7 @@
 // What differs is the representation cost:
 //
 //   kMatrix   O(s^2) state, stamps O(s^2) full / O(delta) in Updates
-//             mode.  Wraps the existing CausalDomainClock bit-exactly.
-//   kReduced  O(s^2) state, stamps O(s + delta): the Drummond-Barbosa
-//             observation that the delivery condition only reads the
-//             destination column, so each stamp carries that column in
-//             full plus the Appendix-A delta for transitive knowledge.
-//             Never ships the s^2 matrix.
+//             mode (Appendix A).
 //   kHybrid   O(s^2) counters of local state (the heard matrix), stamps
 //             O(inflight): per-link FIFO sequence numbers plus an
 //             explicit causal-barrier set (the possibly-undelivered
@@ -32,11 +26,10 @@
 // Wire stamps reuse the Stamp (row, col, value) triple container so the
 // existing frame codec carries any core's timestamp unchanged; frames
 // additionally carry a core tag (see mom/message.h) so a receiver can
-// fence frames stamped by a different core.  Durable state begins with
-// a u16: the legacy matrix image starts with the self id (< 0xFFFF),
-// new cores write the 0xFFFF sentinel, a kind byte, then a per-kind
-// payload -- so pre-core stores load unchanged and old binaries reject
-// new records cleanly (the kind byte lands in the stamp-mode slot).
+// fence frames stamped by a different core.  A durable image is a kind
+// byte (the CausalCoreKind value) followed by a per-kind payload; the
+// decoder takes the whole record and rejects an unknown kind or any
+// trailing byte as data loss.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +41,9 @@
 #include <string_view>
 #include <vector>
 
-#include "clocks/causal_clock.h"
+#include "clocks/matrix_clock.h"
 #include "clocks/stamp.h"
+#include "clocks/updates_tracker.h"
 #include "common/bytes.h"
 #include "common/ids.h"
 #include "common/status.h"
@@ -59,19 +53,18 @@ namespace cmom::clocks {
 enum class CausalCoreKind : std::uint8_t {
   kMatrix = 0,  // the paper's baseline; wire tag 0 is never sent
   kHybrid = 1,
-  kReduced = 2,
 };
 
-// Human-readable name ("matrix" / "hybrid" / "reduced"), as written in
-// config files and printed by momtool.
+// Human-readable name ("matrix" / "hybrid"), as written in config files
+// and printed by momtool.
 [[nodiscard]] std::string_view CausalCoreKindName(CausalCoreKind kind);
 [[nodiscard]] std::optional<CausalCoreKind> ParseCausalCoreKind(
     std::string_view name);
 
 // Per-server steady-state stamp cost model used by the momtool topo
-// lint and the splitter scoring: O(s^2) matrix, O(s) reduced, O(1)
-// hybrid.  Returned in "cells" (stamp entries), comparable across
-// domains the way the paper's sum-of-s^2 figure is.
+// lint and the splitter scoring: O(s^2) matrix, O(1) hybrid.  Returned
+// in "cells" (stamp entries), comparable across domains the way the
+// paper's sum-of-s^2 figure is.
 [[nodiscard]] std::size_t CausalCoreStampCost(CausalCoreKind kind,
                                               std::size_t domain_size);
 
@@ -102,104 +95,76 @@ class CausalCore {
       DomainServerId new_self, std::size_t new_size,
       std::span<const std::optional<DomainServerId>> old_of_new) const = 0;
 
-  // Durable image.  The matrix core writes the legacy
-  // CausalDomainClock::EncodeState bytes unchanged; other cores write
-  // the sentinel-tagged format described above.  Decode with
-  // DecodeCausalCoreState.
+  // Durable image: the kind byte, then the core's payload.  Decode
+  // with DecodeCausalCoreState.
   virtual void EncodeState(ByteWriter& out) const = 0;
 
   // Mutation counter (dirty-tracking hook for incremental persistence);
   // transient, restarts at 0 after decode/Remap.
   [[nodiscard]] virtual std::uint64_t version() const = 0;
 
-  // Protocol-state equality across cores of the same kind, ignoring
-  // transient bookkeeping (version).  Used by recovery tests.
+  // Equality of the durable state across cores of the same kind,
+  // ignoring transient bookkeeping (version, the matrix core's Updates
+  // tracker).  Used by recovery tests.
   [[nodiscard]] virtual bool Equals(const CausalCore& other) const = 0;
-
-  // Non-null only for the matrix core: the wrapped CausalDomainClock.
-  // Lets existing tests and debug tooling inspect the matrix directly.
-  [[nodiscard]] virtual const CausalDomainClock* AsMatrix() const {
-    return nullptr;
-  }
 };
 
-// (1) The existing CausalDomainClock (both StampMode::kFullMatrix and
-// the Appendix-A kUpdates deltas) behind the interface.  Stamps and
-// durable images are byte-identical to the pre-core code.
+// (1) The paper's matrix clock: Raynal-Schiper-Toueg over domain-local
+// ids, one instance per (server, domain) pair (the paper's DomainItem
+// holds it, see Section 5).
+//
+//   send i -> j : M[i][j] += 1; piggyback stamp
+//   recv at j from i, stamp T:
+//     deliverable  iff  T[i][j] == M[i][j] + 1
+//                  and  for all k != i : T[k][j] <= M[k][j]
+//     on delivery  M := max(M, T) entrywise
+//
+// With StampMode::kFullMatrix the stamp carries all s^2 entries; with
+// StampMode::kUpdates it carries only the Appendix-A delta.  The
+// delivery condition only ever needs entries with col == j: an entry
+// absent from a delta stamp was unchanged since an earlier message on
+// the same link, and the FIFO-per-link order that the condition itself
+// enforces guarantees the receiver already merged it, so the missing
+// entry satisfies the check vacuously.
+//
+// The durable image is the self id, the stamp mode and the matrix.  The
+// Updates tracker is not persisted: decoding rebuilds it as "every
+// nonzero entry changed since every destination's last send", so the
+// first stamp to each peer after a reboot or a cutover carries the whole
+// live matrix and later stamps are deltas again.  That is safe because
+// stamps carry absolute values which the receiver max-merges, and
+// CheckReceive reads only the receiver's column, so a larger stamp is
+// never wrong -- losing the tracker costs bandwidth, not correctness.
 class MatrixClockCore final : public CausalCore {
  public:
   MatrixClockCore(DomainServerId self, std::size_t domain_size,
-                  StampMode mode)
-      : clock_(self, domain_size, mode) {}
-  explicit MatrixClockCore(CausalDomainClock clock)
-      : clock_(std::move(clock)) {}
+                  StampMode mode);
 
   [[nodiscard]] CausalCoreKind kind() const override {
     return CausalCoreKind::kMatrix;
-  }
-  [[nodiscard]] DomainServerId self() const override { return clock_.self(); }
-  [[nodiscard]] std::size_t domain_size() const override {
-    return clock_.domain_size();
-  }
-  [[nodiscard]] Stamp PrepareSend(DomainServerId dest) override {
-    return clock_.PrepareSend(dest);
-  }
-  [[nodiscard]] CheckResult CheckReceive(DomainServerId src,
-                                         const Stamp& stamp) const override {
-    return clock_.Check(src, stamp);
-  }
-  void OnDeliver(DomainServerId src, const Stamp& stamp) override {
-    clock_.Commit(src, stamp);
-  }
-  [[nodiscard]] std::unique_ptr<CausalCore> Remap(
-      DomainServerId new_self, std::size_t new_size,
-      std::span<const std::optional<DomainServerId>> old_of_new)
-      const override {
-    return std::make_unique<MatrixClockCore>(
-        clock_.Remap(new_self, new_size, old_of_new));
-  }
-  void EncodeState(ByteWriter& out) const override {
-    clock_.EncodeState(out);
-  }
-  [[nodiscard]] std::uint64_t version() const override {
-    return clock_.version();
-  }
-  [[nodiscard]] bool Equals(const CausalCore& other) const override;
-  [[nodiscard]] const CausalDomainClock* AsMatrix() const override {
-    return &clock_;
-  }
-
- private:
-  CausalDomainClock clock_;
-};
-
-// (3, listed second because it shares the matrix representation) The
-// Drummond-Barbosa complexity reduction: keep the full matrix locally
-// but never ship it.  Each stamp carries the complete destination
-// column (everything the delivery condition reads, so the check is
-// self-contained) plus the Appendix-A delta of entries changed since
-// the last send to that destination (so transitive knowledge still
-// propagates and other columns stay warm).  O(s + delta) per message.
-class ReducedMatrixCore final : public CausalCore {
- public:
-  ReducedMatrixCore(DomainServerId self, std::size_t domain_size);
-
-  [[nodiscard]] CausalCoreKind kind() const override {
-    return CausalCoreKind::kReduced;
   }
   [[nodiscard]] DomainServerId self() const override { return self_; }
   [[nodiscard]] std::size_t domain_size() const override {
     return matrix_.size();
   }
+  [[nodiscard]] StampMode mode() const { return mode_; }
+  [[nodiscard]] const MatrixClock& matrix() const { return matrix_; }
+
   [[nodiscard]] Stamp PrepareSend(DomainServerId dest) override;
   [[nodiscard]] CheckResult CheckReceive(DomainServerId src,
                                          const Stamp& stamp) const override;
   void OnDeliver(DomainServerId src, const Stamp& stamp) override;
+  // Matrix and tracker are remapped together (see MatrixClock::Remap);
+  // the stamp mode is preserved.
   [[nodiscard]] std::unique_ptr<CausalCore> Remap(
       DomainServerId new_self, std::size_t new_size,
       std::span<const std::optional<DomainServerId>> old_of_new)
       const override;
   void EncodeState(ByteWriter& out) const override;
+  // Bumped by every PrepareSend and by every OnDeliver that changed at
+  // least one matrix entry.  The Channel skips the domain's durable
+  // image while it is unchanged -- the disk-layer analogue of the
+  // Appendix A "send only the delta" optimization.
   [[nodiscard]] std::uint64_t version() const override { return version_; }
   [[nodiscard]] bool Equals(const CausalCore& other) const override;
 
@@ -207,9 +172,10 @@ class ReducedMatrixCore final : public CausalCore {
       ByteReader& in);
 
  private:
-  ReducedMatrixCore() = default;
+  MatrixClockCore() = default;
 
   DomainServerId self_;
+  StampMode mode_ = StampMode::kUpdates;
   MatrixClock matrix_;
   UpdatesTracker tracker_;
   std::uint64_t version_ = 0;
@@ -297,15 +263,15 @@ class HybridBufferingCore final : public CausalCore {
 };
 
 // Factory for a fresh core.  `mode` only affects the matrix core (full
-// vs Appendix-A delta stamps); other cores ignore it.
+// vs Appendix-A delta stamps); the hybrid core ignores it.
 [[nodiscard]] std::unique_ptr<CausalCore> MakeCausalCore(
     CausalCoreKind kind, DomainServerId self, std::size_t domain_size,
     StampMode mode);
 
-// Decodes a durable core image in either format: legacy matrix records
-// (leading u16 self id) and sentinel-tagged records (0xFFFF, kind,
-// payload).  The inverse of CausalCore::EncodeState for every core.
+// Decodes one whole durable core image, the inverse of
+// CausalCore::EncodeState for every core.  An unknown kind byte, a
+// malformed payload or any trailing byte is kDataLoss.
 [[nodiscard]] Result<std::unique_ptr<CausalCore>> DecodeCausalCoreState(
-    ByteReader& in);
+    std::span<const std::uint8_t> image);
 
 }  // namespace cmom::clocks

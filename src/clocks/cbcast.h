@@ -18,7 +18,7 @@
 
 #include <cstddef>
 
-#include "clocks/causal_clock.h"  // CheckResult
+#include "clocks/stamp.h"  // CheckResult
 #include "clocks/vector_clock.h"
 
 namespace cmom::clocks {

@@ -12,7 +12,7 @@
 #include <deque>
 #include <utility>
 
-#include "clocks/causal_clock.h"
+#include "clocks/stamp.h"
 
 namespace cmom::clocks {
 

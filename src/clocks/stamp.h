@@ -19,6 +19,18 @@
 
 namespace cmom::clocks {
 
+enum class StampMode : std::uint8_t {
+  kFullMatrix = 0,  // classical algorithm: O(s^2) bytes per message
+  kUpdates = 1,     // Appendix-A deltas: O(changes) bytes per message
+};
+
+// A receiver's verdict on an incoming stamp.
+enum class CheckResult : std::uint8_t {
+  kDeliver,    // all causal predecessors delivered; deliver now
+  kHold,       // some predecessor missing; park in the hold-back queue
+  kDuplicate,  // already delivered (retransmission); drop
+};
+
 struct StampEntry {
   DomainServerId row;   // sender of the counted messages
   DomainServerId col;   // receiver of the counted messages

@@ -73,43 +73,18 @@ UpdatesTracker UpdatesTracker::Remap(
   return out;
 }
 
-void UpdatesTracker::Encode(ByteWriter& out) const {
-  out.WriteVarU64(size_);
-  out.WriteVarU64(state_);
-  for (const CellMeta& cell : cells_) {
-    out.WriteVarU64(cell.state);
-    out.WriteU32(cell.writer);
+UpdatesTracker UpdatesTracker::AllChanged(const MatrixClock& matrix) {
+  UpdatesTracker out(matrix.size());
+  out.state_ = 1;
+  for (std::uint16_t row = 0; row < out.size_; ++row) {
+    for (std::uint16_t col = 0; col < out.size_; ++col) {
+      if (matrix.at(DomainServerId(row), DomainServerId(col)) != 0) {
+        out.cells_[out.index(DomainServerId(row), DomainServerId(col))]
+            .state = 1;
+      }
+    }
   }
-  for (std::uint64_t s : node_state_) out.WriteVarU64(s);
-}
-
-Result<UpdatesTracker> UpdatesTracker::Decode(ByteReader& in) {
-  auto size = in.ReadVarU64();
-  if (!size.ok()) return size.status();
-  // size^2 cells of >= 5 encoded bytes each must fit in the remaining
-  // input; reject corrupt sizes before allocating from them.
-  if (size.value() > 0xFFFF ||
-      size.value() * size.value() > in.remaining() / 5) {
-    return Status::DataLoss("tracker size exceeds input");
-  }
-  UpdatesTracker tracker(static_cast<std::size_t>(size.value()));
-  auto state = in.ReadVarU64();
-  if (!state.ok()) return state.status();
-  tracker.state_ = state.value();
-  for (CellMeta& cell : tracker.cells_) {
-    auto cell_state = in.ReadVarU64();
-    if (!cell_state.ok()) return cell_state.status();
-    auto writer = in.ReadU32();
-    if (!writer.ok()) return writer.status();
-    cell.state = cell_state.value();
-    cell.writer = writer.value();
-  }
-  for (std::uint64_t& s : tracker.node_state_) {
-    auto node_state = in.ReadVarU64();
-    if (!node_state.ok()) return node_state.status();
-    s = node_state.value();
-  }
-  return tracker;
+  return out;
 }
 
 }  // namespace cmom::clocks

@@ -14,7 +14,8 @@
 //
 // Correctness of delta stamps rests on per-link FIFO delivery, which the
 // matrix-clock delivery condition itself enforces (message r+1 from i to
-// j cannot be delivered before message r).  See causal_clock.h.
+// j cannot be delivered before message r).  See MatrixClockCore in
+// causal_core.h, which owns one tracker per clock.
 #pragma once
 
 #include <cstdint>
@@ -56,20 +57,17 @@ class UpdatesTracker {
       std::size_t new_size,
       std::span<const std::optional<DomainServerId>> old_of_new) const;
 
-  // State persistence (the tracker is part of the channel's durable
-  // image: losing it after a crash would only cost bandwidth, not
-  // correctness, but we persist it to keep recovery deterministic).
-  void Encode(ByteWriter& out) const;
-  [[nodiscard]] static Result<UpdatesTracker> Decode(ByteReader& in);
-
-  [[nodiscard]] bool operator==(const UpdatesTracker&) const = default;
+  // The tracker a decoded clock restarts from.  The tracker is not
+  // persisted (losing it costs bandwidth, not correctness), so every
+  // nonzero entry of `matrix` counts as changed since every
+  // destination's last send, written by the owner: the first stamp to
+  // each peer carries the whole live matrix, later ones are deltas.
+  [[nodiscard]] static UpdatesTracker AllChanged(const MatrixClock& matrix);
 
  private:
   struct CellMeta {
     std::uint64_t state = 0;  // Mat[k][l].state: state counter at last change
     std::uint32_t writer = kSelfWriter;  // Mat[k][l].node
-
-    friend bool operator==(const CellMeta&, const CellMeta&) = default;
   };
   static constexpr std::uint32_t kSelfWriter = 0xFFFFFFFFu;
 

@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "clocks/causal_clock.h"
 #include "clocks/causal_core.h"
 #include "domains/config_io.h"
 #include "mom/store_schema.h"
@@ -41,11 +40,7 @@ Status Coordinator::Propose(const ReconfigPlan& plan) {
                             domains::FormatMomConfig(plan.old_config)};
   const Bytes encoded = EncodeEpochRecord(pending);
   for (ServerId id : plan.AllServers()) {
-    mom::Store* store = host_->StoreOf(id);
-    if (store == nullptr) {
-      return Status::NotFound("no store for " + to_string(id));
-    }
-    auto current = ReadEpochRecord(*store, kEpochCurrentKey);
+    auto current = EpochRecordOf(id, kEpochCurrentKey);
     if (!current.ok()) return current.status();
     if (current.value().has_value()) {
       if (current.value()->epoch != plan.from_epoch) {
@@ -63,7 +58,7 @@ Status Coordinator::Propose(const ReconfigPlan& plan) {
           to_string(id) + " has no epoch record but the plan starts at " +
           std::to_string(plan.from_epoch));
     }
-    auto stale = ReadEpochRecord(*store, kEpochPendingKey);
+    auto stale = EpochRecordOf(id, kEpochPendingKey);
     if (!stale.ok()) return stale.status();
     if (stale.value().has_value() && !(*stale.value() == pending)) {
       return Status::FailedPrecondition(
@@ -120,10 +115,10 @@ Status Coordinator::Recover() {
     mom::Store* store = host_->StoreOf(id);
     if (store == nullptr) continue;
     StoreState state{id, {}, {}};
-    auto current = ReadEpochRecord(*store, kEpochCurrentKey);
+    auto current = EpochRecordOf(id, kEpochCurrentKey);
     if (!current.ok()) return current.status();
     state.current = std::move(current).value();
-    auto pending = ReadEpochRecord(*store, kEpochPendingKey);
+    auto pending = EpochRecordOf(id, kEpochPendingKey);
     if (!pending.ok()) return pending.status();
     state.pending = std::move(pending).value();
     states.push_back(std::move(state));
@@ -242,8 +237,7 @@ Status Coordinator::CutoverStore(mom::Store& store, ServerId self,
     if (!blob.has_value()) {
       return Status::DataLoss("clock key vanished mid-read: " + key);
     }
-    ByteReader in(*blob);
-    auto core = clocks::DecodeCausalCoreState(in);
+    auto core = clocks::DecodeCausalCoreState(*blob);
     if (!core.ok()) return core.status();
     old_cores.emplace(index.value(), std::move(core).value());
   }
@@ -293,6 +287,18 @@ Status Coordinator::CutoverStore(mom::Store& store, ServerId self,
   // The cutover rewrote a large slice of the keyspace; fold the
   // store's history (FileStore truncates its write-ahead log).
   return store.Checkpoint();
+}
+
+Result<std::optional<EpochRecord>> Coordinator::EpochRecordOf(
+    ServerId id, std::string_view key) {
+  if (mom::AgentServer* server = host_->ServerOf(id)) {
+    return ParseEpochRecord(server->ReadControlRecord(key));
+  }
+  mom::Store* store = host_->StoreOf(id);
+  if (store == nullptr) {
+    return Status::NotFound("no store for " + to_string(id));
+  }
+  return ReadEpochRecord(*store, key);
 }
 
 Status Coordinator::WriteControlRecord(ServerId id, std::string_view key,

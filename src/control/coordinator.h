@@ -73,6 +73,13 @@ class Coordinator {
   // restarts servers that are down at their recorded epoch.
   [[nodiscard]] Status Recover();
 
+  // The epoch record under `key` on `id`'s store.  While a server runs
+  // on that store the read rides its pipeline (AgentServer::
+  // ReadControlRecord), so it never sees a half-staged transaction;
+  // otherwise the store is read directly.
+  [[nodiscard]] Result<std::optional<EpochRecord>> EpochRecordOf(
+      ServerId id, std::string_view key);
+
   // --- store-level primitives (shared with Recover and momtool) ------
   // The one-commit store rewrite for `self` under `plan`.  Requires a
   // drained store: any surviving qout/qin/hold key aborts.

@@ -22,14 +22,18 @@ Result<EpochRecord> EpochRecord::Decode(ByteReader& in) {
   return record;
 }
 
-Result<std::optional<EpochRecord>> ReadEpochRecord(mom::Store& store,
-                                                   std::string_view key) {
-  auto blob = store.Get(key);
+Result<std::optional<EpochRecord>> ParseEpochRecord(
+    const std::optional<Bytes>& blob) {
   if (!blob.has_value()) return std::optional<EpochRecord>{};
   ByteReader in(*blob);
   auto record = EpochRecord::Decode(in);
   if (!record.ok()) return record.status();
   return std::optional<EpochRecord>{std::move(record).value()};
+}
+
+Result<std::optional<EpochRecord>> ReadEpochRecord(mom::Store& store,
+                                                   std::string_view key) {
+  return ParseEpochRecord(store.Get(key));
 }
 
 Bytes EncodeEpochRecord(const EpochRecord& record) {

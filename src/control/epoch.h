@@ -51,7 +51,12 @@ struct EpochRecord {
   [[nodiscard]] static Result<EpochRecord> Decode(ByteReader& in);
 };
 
-// Reads the record under `key`, nullopt when absent.
+// Decodes a record read from a store, nullopt when absent.
+[[nodiscard]] Result<std::optional<EpochRecord>> ParseEpochRecord(
+    const std::optional<Bytes>& blob);
+
+// Reads the record under `key`, nullopt when absent.  Only for a store
+// no running server writes (see Coordinator::EpochRecordOf).
 [[nodiscard]] Result<std::optional<EpochRecord>> ReadEpochRecord(
     mom::Store& store, std::string_view key);
 
@@ -60,6 +65,7 @@ struct EpochRecord {
 [[nodiscard]] Bytes EncodeEpochRecord(const EpochRecord& record);
 
 // The epoch a store is at: its epoch/current record, or 0 when none.
+// Same caveat as ReadEpochRecord.
 [[nodiscard]] Result<std::uint64_t> CurrentEpochOf(mom::Store& store);
 
 }  // namespace cmom::control

@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "clocks/causal_clock.h"
 #include "clocks/causal_core.h"
 #include "common/ids.h"
 

@@ -152,7 +152,7 @@ Result<MomConfig> ParseMomConfig(std::string_view text) {
       } else {
         return error(
             "expected 'causal_core = <kind>' or 'causal_core <domain> = "
-            "<kind>' with kind matrix|reduced|hybrid");
+            "<kind>' with kind matrix|hybrid");
       }
     } else if (tokens[0] == "allow_cyclic") {
       if (tokens.size() != 3 || tokens[1] != "=") {

@@ -227,8 +227,8 @@ Result<double> CostEstimator::Estimate(const MomConfig& config,
         if (!link.ok()) return link.status();
         const ResolvedDomain& domain = d.domain(link.value());
         // Stamp cost depends on the causal core the hop's domain runs:
-        // s^2 entries for the matrix baseline, s for reduced stamps,
-        // O(1) for hybrid buffering (see clocks::CausalCoreStampCost).
+        // s^2 entries for the matrix baseline, O(1) for hybrid
+        // buffering (see clocks::CausalCoreStampCost).
         const double stamp_entries = static_cast<double>(
             clocks::CausalCoreStampCost(config.CoreFor(domain.id),
                                         domain.size()));

@@ -27,7 +27,7 @@
 // CostEstimator mirrors the Section 6.2 analytic model: a message
 // crossing hops h_1..h_k, where hop h_i travels in a domain of size
 // s_i, costs  sum_i (per_hop_fixed + per_entry * stamp(s_i)); stamp()
-// is the per-core stamp cost (s^2 matrix, s reduced, O(1) hybrid per
+// is the per-core stamp cost (s^2 matrix, O(1) hybrid per
 // clocks::CausalCoreStampCost) of the core that domain runs, so a
 // hybrid domain is not priced at full-matrix cost.  The expected
 // system cost is the traffic-weighted sum over all pairs.

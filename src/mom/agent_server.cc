@@ -1398,8 +1398,7 @@ Status AgentServer::RecoverEntriesLocked() {
     if (!index.ok()) return index.status();
     auto blob = store_->Get(key);
     if (!blob) continue;
-    ByteReader in(*blob);
-    auto core = clocks::DecodeCausalCoreState(in);
+    auto core = clocks::DecodeCausalCoreState(*blob);
     if (!core.ok()) return core.status();
     bool found = false;
     for (DomainItem& item : items_) {
@@ -1674,13 +1673,34 @@ Status AgentServer::ApplyControlRecord(std::string_view key,
   return committed.get();
 }
 
-const clocks::CausalDomainClock* AgentServer::FindDomainClock(
+std::optional<Bytes> AgentServer::ReadControlRecord(std::string_view key) {
+  auto done = std::make_shared<std::promise<std::optional<Bytes>>>();
+  auto read = done->get_future();
+  {
+    std::unique_lock lock(mutex_);
+    // No pipeline runs, so no transaction can be half-staged.
+    if (!booted_ || shutdown_) return store_->Get(key);
+    work_queue_.push_back([this, key = std::string(key), done] {
+      // Every work item commits (or rolls back) what it staged before
+      // the next one starts, so only committed records are visible.
+      done->set_value(store_->Get(key));
+      return std::size_t{0};
+    });
+    PumpLocked();
+  }
+  return read.get();
+}
+
+std::unique_ptr<clocks::CausalCore> AgentServer::CoreSnapshot(
     std::size_t deployment_domain_index) const {
   std::lock_guard lock(mutex_);
   for (const DomainItem& item : items_) {
-    if (item.deployment_index == deployment_domain_index) {
-      return item.core->AsMatrix();
-    }
+    if (item.deployment_index != deployment_domain_index) continue;
+    ByteWriter out;
+    item.core->EncodeState(out);
+    auto core = clocks::DecodeCausalCoreState(out.buffer());
+    assert(core.ok());
+    return std::move(core).value();
   }
   return nullptr;
 }

@@ -75,7 +75,6 @@
 #include <vector>
 
 #include "causality/trace.h"
-#include "clocks/causal_clock.h"
 #include "clocks/causal_core.h"
 #include "clocks/holdback.h"
 #include "common/histogram.h"
@@ -298,6 +297,11 @@ class AgentServer {
   // caller).
   [[nodiscard]] Status ApplyControlRecord(std::string_view key,
                                           std::optional<Bytes> value);
+  // The read twin: the committed value of `key` (nullopt when absent),
+  // read by a work item ordered after every transaction queued before
+  // it, so the caller never sees another transaction's staged writes
+  // and never races the commit path.  Same runtime caveat as above.
+  [[nodiscard]] std::optional<Bytes> ReadControlRecord(std::string_view key);
 
   // Number of held-back (causally premature) messages over all domains.
   [[nodiscard]] std::size_t holdback_size() const;
@@ -306,10 +310,10 @@ class AgentServer {
   // True when no transaction is running or queued.
   [[nodiscard]] bool Idle() const;
 
-  // Matrix clock of the domain item for deployment domain `index`
-  // (tests / introspection).  Null when the domain runs a non-matrix
-  // causal core.
-  [[nodiscard]] const clocks::CausalDomainClock* FindDomainClock(
+  // A copy of the causal core of deployment domain `index`, decoded
+  // from its current image (tests / introspection; safe while the
+  // server runs).  Null when this server is not a member of it.
+  [[nodiscard]] std::unique_ptr<clocks::CausalCore> CoreSnapshot(
       std::size_t deployment_domain_index) const;
 
   // Active causal core per domain this server belongs to, in domain-

@@ -58,7 +58,7 @@ Status ThreadedHarness::Init(AgentInstaller installer) {
         *deployment.value(), id, endpoints_.at(id).get(), &runtime_,
         ServerStore(id), ServerOptions(cluster_epoch_));
     if (installer_) installer_(id, *server);
-    servers_.emplace(id, std::move(server));
+    ReplaceServer(id, std::move(server));
     server_epochs_[id] = cluster_epoch_;
   }
   return Status::Ok();
@@ -66,16 +66,26 @@ Status ThreadedHarness::Init(AgentInstaller installer) {
 
 Status ThreadedHarness::BootAll() {
   for (ServerId id : deployment().servers()) {
-    CMOM_RETURN_IF_ERROR(servers_.at(id)->Boot());
+    CMOM_RETURN_IF_ERROR(server(id).Boot());
   }
   return Status::Ok();
+}
+
+std::unique_ptr<mom::AgentServer> ThreadedHarness::ReplaceServer(
+    ServerId id, std::unique_ptr<mom::AgentServer> server) {
+  std::unique_lock lock(servers_mutex_);
+  std::unique_ptr<mom::AgentServer>& slot = servers_[id];
+  std::swap(slot, server);
+  return server;
 }
 
 Result<MessageId> ThreadedHarness::Send(ServerId from,
                                         std::uint32_t from_local, ServerId to,
                                         std::uint32_t to_local,
                                         std::string subject, Bytes payload) {
-  mom::AgentServer* server = ServerOf(from);
+  std::shared_lock lock(servers_mutex_);
+  auto it = servers_.find(from);
+  mom::AgentServer* server = it == servers_.end() ? nullptr : it->second.get();
   if (server == nullptr) {
     return Status::Unavailable(to_string(from) + " is not running");
   }
@@ -88,6 +98,7 @@ void ThreadedHarness::WaitQuiescent() {
   while (stable < 2) {
     network_->WaitQuiescent();
     bool idle = faulty_ == nullptr || faulty_->pending_delayed() == 0;
+    std::shared_lock lock(servers_mutex_);
     for (const auto& [id, server] : servers_) {
       (void)id;
       if (server == nullptr) continue;  // crashed and not restarted
@@ -100,6 +111,7 @@ void ThreadedHarness::WaitQuiescent() {
         break;
       }
     }
+    lock.unlock();
     if (idle) {
       ++stable;
     } else {
@@ -110,6 +122,7 @@ void ThreadedHarness::WaitQuiescent() {
 }
 
 void ThreadedHarness::ShutdownAll() {
+  std::shared_lock lock(servers_mutex_);
   for (auto& [id, server] : servers_) {
     (void)id;
     if (server) server->Shutdown();
@@ -117,6 +130,7 @@ void ThreadedHarness::ShutdownAll() {
 }
 
 void ThreadedHarness::HaltAll() {
+  std::shared_lock lock(servers_mutex_);
   for (auto& [id, server] : servers_) {
     (void)id;
     if (server) server->Halt();
@@ -127,18 +141,21 @@ void ThreadedHarness::Crash(ServerId id) {
   // ~AgentServer halts: un-committed work is discarded, leaving only
   // what the store already committed -- the same cut a power failure
   // would make.
-  servers_.at(id) = nullptr;
+  ReplaceServer(id, nullptr);
 }
 
 Status ThreadedHarness::Restart(ServerId id) {
+  // A running instance goes first: the new one shares its endpoint.
+  ReplaceServer(id, nullptr);
   const std::uint64_t epoch = server_epochs_.at(id);
   const domains::Deployment& deployment = *deployments_.at(epoch);
   auto server = std::make_unique<mom::AgentServer>(
       deployment, id, endpoints_.at(id).get(), &runtime_, ServerStore(id),
       ServerOptions(epoch));
   if (installer_) installer_(id, *server);
-  servers_.at(id) = std::move(server);
-  return servers_.at(id)->Boot();
+  const Status booted = server->Boot();
+  ReplaceServer(id, std::move(server));
+  return booted;
 }
 
 // --- control::ClusterHost --------------------------------------------
@@ -155,6 +172,7 @@ std::vector<ServerId> ThreadedHarness::KnownServers() {
 }
 
 mom::AgentServer* ThreadedHarness::ServerOf(ServerId id) {
+  std::shared_lock lock(servers_mutex_);
   auto it = servers_.find(id);
   return it == servers_.end() ? nullptr : it->second.get();
 }
@@ -192,12 +210,9 @@ mom::Store* ThreadedHarness::StoreOf(ServerId id) {
 }
 
 Status ThreadedHarness::StopServer(ServerId id) {
-  auto it = servers_.find(id);
-  if (it == servers_.end() || it->second == nullptr) return Status::Ok();
-  // Halt (not Shutdown): the control plane is about to rewrite the
+  // ~AgentServer halts: the control plane is about to rewrite the
   // store, so every timer must be out before it does.
-  it->second->Halt();
-  it->second = nullptr;
+  ReplaceServer(id, nullptr);
   return Status::Ok();
 }
 
@@ -217,10 +232,11 @@ Status ThreadedHarness::StartServer(ServerId id, std::uint64_t epoch,
       *deployment.value(), id, endpoints_.at(id).get(), &runtime_,
       ServerStore(id), ServerOptions(epoch));
   if (installer_) installer_(id, *server);
-  servers_[id] = std::move(server);
   server_epochs_[id] = epoch;
   cluster_epoch_ = std::max(cluster_epoch_, epoch);
-  return servers_.at(id)->Boot();
+  const Status booted = server->Boot();
+  ReplaceServer(id, std::move(server));
+  return booted;
 }
 
 causality::CausalityChecker ThreadedHarness::MakeChecker() const {

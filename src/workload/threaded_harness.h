@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <shared_mutex>
 #include <unordered_map>
 
 #include "causality/checker.h"
@@ -99,6 +100,7 @@ class ThreadedHarness final : public control::ClusterHost {
                      const domains::MomConfig& config) override;
 
   [[nodiscard]] mom::AgentServer& server(ServerId id) {
+    std::shared_lock lock(servers_mutex_);
     return *servers_.at(id);
   }
   // Null unless fault injection was configured.
@@ -125,6 +127,11 @@ class ThreadedHarness final : public control::ClusterHost {
   // The deployment for `epoch`, built from `config` on first use.
   [[nodiscard]] Result<const domains::Deployment*> DeploymentFor(
       std::uint64_t epoch, const domains::MomConfig& config);
+  // Swaps `server` in as `id`'s instance (null removes it) once no Send
+  // is in flight, and returns the instance it replaced for the caller
+  // to destroy outside the lock.
+  std::unique_ptr<mom::AgentServer> ReplaceServer(
+      ServerId id, std::unique_ptr<mom::AgentServer> server);
 
   domains::MomConfig config_;
   ThreadedHarnessOptions options_;
@@ -146,6 +153,10 @@ class ThreadedHarness final : public control::ClusterHost {
   std::unordered_map<ServerId, std::unique_ptr<mom::FaultyStore>>
       faulty_stores_;
   std::unordered_map<ServerId, std::unique_ptr<net::Endpoint>> endpoints_;
+  // Send holds servers_mutex_ shared for its whole call, and every
+  // change of servers_ holds it exclusively, so a server is never
+  // replaced or destroyed under an in-flight Send.
+  mutable std::shared_mutex servers_mutex_;
   std::unordered_map<ServerId, std::unique_ptr<mom::AgentServer>> servers_;
   // Epoch each server last ran under (what Restart reboots it at).
   std::unordered_map<ServerId, std::uint64_t> server_epochs_;

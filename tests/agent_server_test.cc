@@ -156,16 +156,18 @@ TEST(AgentServer, StatsTrackStampBytesAndCommits) {
   EXPECT_EQ(receiver.frames_received, 1u);
 }
 
-TEST(AgentServer, FindDomainClockExposesMatrix) {
+TEST(AgentServer, CoreSnapshotExposesMatrix) {
   SimHarness harness(Flat(2), FastOptions());
   ASSERT_TRUE(harness.Init().ok());
   ASSERT_TRUE(harness.BootAll().ok());
   ASSERT_TRUE(harness.Send(ServerId(0), 1, ServerId(1), 1, "x").ok());
   harness.Run();
-  const auto* clock = harness.server(ServerId(0)).FindDomainClock(0);
-  ASSERT_NE(clock, nullptr);
-  EXPECT_EQ(clock->matrix().at(DomainServerId(0), DomainServerId(1)), 1u);
-  EXPECT_EQ(harness.server(ServerId(0)).FindDomainClock(99), nullptr);
+  auto core = harness.server(ServerId(0)).CoreSnapshot(0);
+  ASSERT_NE(core, nullptr);
+  const auto* matrix = dynamic_cast<const clocks::MatrixClockCore*>(core.get());
+  ASSERT_NE(matrix, nullptr);
+  EXPECT_EQ(matrix->matrix().at(DomainServerId(0), DomainServerId(1)), 1u);
+  EXPECT_EQ(harness.server(ServerId(0)).CoreSnapshot(99), nullptr);
 }
 
 }  // namespace

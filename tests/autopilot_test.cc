@@ -218,15 +218,6 @@ TEST(SplitterEdgeTest, CostEstimatorIsCoreAware) {
   auto mixed_cost = domains::CostEstimator::Estimate(mixed, traffic);
   ASSERT_TRUE(mixed_cost.ok());
   EXPECT_LT(mixed_cost.value(), matrix_cost.value());
-
-  // Reduced sits between O(1) hybrid and s^2 matrix.
-  domains::MomConfig reduced = TwoDomainChain();
-  reduced.causal_core_overrides = {{DomainId(1),
-                                    clocks::CausalCoreKind::kReduced}};
-  auto reduced_cost = domains::CostEstimator::Estimate(reduced, traffic);
-  ASSERT_TRUE(reduced_cost.ok());
-  EXPECT_LT(reduced_cost.value(), matrix_cost.value());
-  EXPECT_LT(mixed_cost.value(), reduced_cost.value());
 }
 
 // When every candidate scores worse than the bar the controller must

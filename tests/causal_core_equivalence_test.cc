@@ -1,6 +1,6 @@
 // Cross-core causal-equivalence property tests.
 //
-// All three causal cores implement *exact* causal delivery, so on an
+// Both causal cores implement *exact* causal delivery, so on an
 // identical arrival sequence they must make identical delivery
 // decisions -- same delivery order, exactly-once, and an empty
 // hold-back queue once every message has arrived.  The first suite
@@ -195,7 +195,6 @@ TEST_P(CausalCoreEquivalence, AllCoresAgreeOnDeliveryOrder) {
     const char* name;
   } contenders[] = {
       {CausalCoreKind::kMatrix, StampMode::kUpdates, "matrix_updates"},
-      {CausalCoreKind::kReduced, StampMode::kUpdates, "reduced"},
       {CausalCoreKind::kHybrid, StampMode::kUpdates, "hybrid"},
   };
   for (const auto& c : contenders) {
@@ -271,8 +270,7 @@ TEST_P(CausalCoreSimTraffic, CausalExactlyOnceQuiescent) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, CausalCoreSimTraffic,
     ::testing::Combine(::testing::Values(CausalCoreKind::kMatrix,
-                                         CausalCoreKind::kHybrid,
-                                         CausalCoreKind::kReduced),
+                                         CausalCoreKind::kHybrid),
                        ::testing::Bool(), ::testing::Values(1, 2, 3)),
     [](const auto& info) {
       return std::string(CausalCoreKindName(std::get<0>(info.param))) +
@@ -289,8 +287,6 @@ TEST(CausalCoreSimTraffic, MixedCoresAcrossDomains) {
   ASSERT_GE(config.domains.size(), 2u);
   config.causal_core_overrides.emplace_back(config.domains[0].id,
                                             CausalCoreKind::kHybrid);
-  config.causal_core_overrides.emplace_back(config.domains[1].id,
-                                            CausalCoreKind::kReduced);
 
   workload::SimHarnessOptions options;
   options.simulate_processing_costs = false;

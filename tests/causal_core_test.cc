@@ -1,26 +1,17 @@
 // Unit tests for the pluggable causal-delivery cores: the strategy
-// interface contract, byte-identity of the matrix core with the
-// pre-core CausalDomainClock (stamps and durable images), the durable
-// codec for every core (including legacy-image compatibility in both
-// directions), remapping, and the hybrid core's barrier lifecycle.
+// interface contract, the durable codec for every core (strict kind
+// byte, no trailing bytes, the matrix core's tracker rebuild),
+// remapping, and the hybrid core's barrier lifecycle.
 #include "clocks/causal_core.h"
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "clocks/causal_clock.h"
-
 namespace cmom::clocks {
 namespace {
 
 DomainServerId D(std::uint16_t v) { return DomainServerId(v); }
-
-Bytes EncodeStamp(const Stamp& stamp) {
-  ByteWriter out;
-  stamp.Encode(out);
-  return std::move(out).Take();
-}
 
 Bytes EncodeCore(const CausalCore& core) {
   ByteWriter out;
@@ -30,70 +21,18 @@ Bytes EncodeCore(const CausalCore& core) {
 
 TEST(CausalCoreKindTest, NamesAndParseRoundTrip) {
   for (CausalCoreKind kind :
-       {CausalCoreKind::kMatrix, CausalCoreKind::kHybrid,
-        CausalCoreKind::kReduced}) {
+       {CausalCoreKind::kMatrix, CausalCoreKind::kHybrid}) {
     EXPECT_EQ(ParseCausalCoreKind(CausalCoreKindName(kind)), kind);
   }
   EXPECT_FALSE(ParseCausalCoreKind("vector").has_value());
+  EXPECT_FALSE(ParseCausalCoreKind("reduced").has_value());
   EXPECT_FALSE(ParseCausalCoreKind("").has_value());
 }
 
 TEST(CausalCoreKindTest, StampCostModel) {
   EXPECT_EQ(CausalCoreStampCost(CausalCoreKind::kMatrix, 8), 64u);
-  EXPECT_EQ(CausalCoreStampCost(CausalCoreKind::kReduced, 8), 8u);
   EXPECT_EQ(CausalCoreStampCost(CausalCoreKind::kHybrid, 8), 1u);
 }
-
-// The matrix core must be bit-exact with the bare CausalDomainClock:
-// identical stamps on every send and identical durable images after
-// identical traffic, in both stamp modes.  This is what keeps pre-core
-// deployments wire- and store-compatible.
-class MatrixCoreByteIdentity : public ::testing::TestWithParam<StampMode> {};
-
-TEST_P(MatrixCoreByteIdentity, StampsAndImagesMatchTheBareClock) {
-  const StampMode mode = GetParam();
-  constexpr std::size_t kSize = 4;
-  std::vector<CausalDomainClock> clocks;
-  std::vector<std::unique_ptr<CausalCore>> cores;
-  for (std::uint16_t i = 0; i < kSize; ++i) {
-    clocks.emplace_back(D(i), kSize, mode);
-    cores.push_back(MakeCausalCore(CausalCoreKind::kMatrix, D(i), kSize,
-                                   mode));
-  }
-
-  // Deterministic little storm: every pair, a few rounds, immediate
-  // delivery (the codec identity is what is under test, not ordering).
-  for (int round = 0; round < 3; ++round) {
-    for (std::uint16_t src = 0; src < kSize; ++src) {
-      for (std::uint16_t dst = 0; dst < kSize; ++dst) {
-        if (src == dst) continue;
-        const Stamp expected = clocks[src].PrepareSend(D(dst));
-        const Stamp actual = cores[src]->PrepareSend(D(dst));
-        ASSERT_EQ(EncodeStamp(expected), EncodeStamp(actual));
-        ASSERT_EQ(clocks[dst].Check(D(src), expected),
-                  cores[dst]->CheckReceive(D(src), actual));
-        clocks[dst].Commit(D(src), expected);
-        cores[dst]->OnDeliver(D(src), actual);
-      }
-    }
-  }
-
-  for (std::uint16_t i = 0; i < kSize; ++i) {
-    ByteWriter legacy;
-    clocks[i].EncodeState(legacy);
-    EXPECT_EQ(std::move(legacy).Take(), EncodeCore(*cores[i]));
-    EXPECT_EQ(clocks[i].version(), cores[i]->version());
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Modes, MatrixCoreByteIdentity,
-                         ::testing::Values(StampMode::kFullMatrix,
-                                           StampMode::kUpdates),
-                         [](const auto& info) {
-                           return info.param == StampMode::kUpdates
-                                      ? "updates"
-                                      : "full";
-                         });
 
 // Drives a little three-member conversation on a core so its state is
 // non-trivial before encoding.
@@ -119,10 +58,9 @@ TEST_P(CausalCoreCodec, EncodeDecodeRoundTripsAndReEncodesIdentically) {
   Stir(*a, *b, *c);
 
   const Bytes image = EncodeCore(*b);
-  ByteReader in(image);
-  auto decoded = DecodeCausalCoreState(in);
+  ASSERT_EQ(image.front(), static_cast<std::uint8_t>(kind));
+  auto decoded = DecodeCausalCoreState(image);
   ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
-  EXPECT_TRUE(in.exhausted());
   EXPECT_EQ(decoded.value()->kind(), kind);
   EXPECT_EQ(decoded.value()->self(), D(1));
   EXPECT_EQ(decoded.value()->domain_size(), 3u);
@@ -130,6 +68,11 @@ TEST_P(CausalCoreCodec, EncodeDecodeRoundTripsAndReEncodesIdentically) {
   // Byte-identical restore: re-encoding the decoded core reproduces
   // the image exactly (the crash-recovery invariant).
   EXPECT_EQ(EncodeCore(*decoded.value()), image);
+  // The decoder owns the whole record: one more byte is data loss.
+  Bytes padded = image;
+  padded.push_back(0);
+  EXPECT_EQ(DecodeCausalCoreState(padded).status().code(),
+            StatusCode::kDataLoss);
 }
 
 TEST_P(CausalCoreCodec, DecodedCoreKeepsDeliveringCorrectly) {
@@ -140,8 +83,7 @@ TEST_P(CausalCoreCodec, DecodedCoreKeepsDeliveringCorrectly) {
   Stir(*a, *b, *c);
 
   const Bytes image = EncodeCore(*b);
-  ByteReader in(image);
-  auto revived = DecodeCausalCoreState(in);
+  auto revived = DecodeCausalCoreState(image);
   ASSERT_TRUE(revived.ok());
 
   // A fresh message is deliverable exactly once by the revived core,
@@ -156,71 +98,93 @@ TEST_P(CausalCoreCodec, DecodedCoreKeepsDeliveringCorrectly) {
 
 INSTANTIATE_TEST_SUITE_P(Kinds, CausalCoreCodec,
                          ::testing::Values(CausalCoreKind::kMatrix,
-                                           CausalCoreKind::kHybrid,
-                                           CausalCoreKind::kReduced),
+                                           CausalCoreKind::kHybrid),
                          [](const auto& info) {
                            return std::string(
                                CausalCoreKindName(info.param));
                          });
 
-TEST(CausalCoreCodecCompat, LegacyMatrixImageDecodesAsMatrixCore) {
-  CausalDomainClock clock(D(1), 3, StampMode::kUpdates);
-  CausalDomainClock peer(D(0), 3, StampMode::kUpdates);
-  const Stamp stamp = peer.PrepareSend(D(1));
-  ASSERT_EQ(clock.Check(D(0), stamp), CheckResult::kDeliver);
-  clock.Commit(D(0), stamp);
+// The image has no Updates tracker, so a decoded matrix core cannot
+// know what it already shipped to whom: its first stamp to each peer
+// carries every nonzero entry of the matrix, and the next stamp to that
+// peer is a delta again.
+TEST(MatrixCoreRecovery, FirstStampAfterDecodeCarriesEveryLiveEntry) {
+  MatrixClockCore a(D(0), 3, StampMode::kUpdates);
+  MatrixClockCore b(D(1), 3, StampMode::kUpdates);
+  MatrixClockCore c(D(2), 3, StampMode::kUpdates);
+  Stir(a, b, c);
+  // One more send to each peer, so a's next live stamp to either would
+  // be the one-entry delta.
+  for (std::uint16_t peer : {1, 2}) {
+    MatrixClockCore& receiver = peer == 1 ? b : c;
+    const Stamp stamp = a.PrepareSend(D(peer));
+    ASSERT_EQ(receiver.CheckReceive(D(0), stamp), CheckResult::kDeliver);
+    receiver.OnDeliver(D(0), stamp);
+  }
 
-  ByteWriter out;
-  clock.EncodeState(out);
-  const Bytes legacy = std::move(out).Take();
-  ByteReader in(legacy);
-  auto core = DecodeCausalCoreState(in);
-  ASSERT_TRUE(core.ok()) << core.status().to_string();
-  EXPECT_EQ(core.value()->kind(), CausalCoreKind::kMatrix);
-  ASSERT_NE(core.value()->AsMatrix(), nullptr);
-  EXPECT_EQ(*core.value()->AsMatrix(), clock);
-  EXPECT_EQ(EncodeCore(*core.value()), legacy);
+  auto revived = DecodeCausalCoreState(EncodeCore(a));
+  ASSERT_TRUE(revived.ok()) << revived.status();
+  const auto& core = dynamic_cast<const MatrixClockCore&>(*revived.value());
+  for (std::uint16_t peer : {1, 2}) {
+    const Stamp first = revived.value()->PrepareSend(D(peer));
+    std::size_t live = 0;
+    for (std::uint16_t row = 0; row < 3; ++row) {
+      for (std::uint16_t col = 0; col < 3; ++col) {
+        const std::uint64_t value = core.matrix().at(D(row), D(col));
+        if (value == 0) continue;
+        ++live;
+        const StampEntry* entry = first.Find(D(row), D(col));
+        ASSERT_NE(entry, nullptr) << "peer " << peer << " entry " << row
+                                  << "," << col;
+        EXPECT_EQ(entry->value, value);
+      }
+    }
+    EXPECT_GT(live, 1u);
+    EXPECT_EQ(first.entries.size(), live) << "peer " << peer;
+    EXPECT_EQ(revived.value()->PrepareSend(D(peer)).entries.size(), 1u)
+        << "peer " << peer;
+  }
 }
 
-TEST(CausalCoreCodecCompat, ReducedRecordIsRejectedByTheLegacyDecoder) {
-  // A reduced-core image must NOT parse as a legacy CausalDomainClock:
-  // the sentinel lands in the self-id slot and the kind byte (2) in the
-  // stamp-mode slot, which the old decoder rejects as out of range.
-  auto reduced = MakeCausalCore(CausalCoreKind::kReduced, D(0), 2,
-                                StampMode::kUpdates);
-  const Bytes image = EncodeCore(*reduced);
-  ByteReader in(image);
-  EXPECT_FALSE(CausalDomainClock::DecodeState(in).ok());
+TEST(CausalCoreCodecCompat, ParentFormatMatrixImageIsDataLoss) {
+  // Before the kind byte, a matrix image was the u16 self id, the stamp
+  // mode, the matrix and then the Updates tracker (varint size, varint
+  // state, a varint state and a u32 writer per cell, a varint state per
+  // destination).  Neither self id 0 (read as a matrix kind byte) nor 1
+  // (read as hybrid) decodes.
+  for (std::uint16_t self : {0, 1}) {
+    MatrixClock matrix(2);
+    matrix.set(D(0), D(1), 3);
+    ByteWriter out;
+    out.WriteU16(self);
+    out.WriteU8(static_cast<std::uint8_t>(StampMode::kUpdates));
+    matrix.Encode(out);
+    out.WriteVarU64(2);
+    out.WriteVarU64(1);
+    for (int cell = 0; cell < 4; ++cell) {
+      out.WriteVarU64(cell == 1 ? 1 : 0);
+      out.WriteU32(0xFFFFFFFFu);
+    }
+    out.WriteVarU64(1);
+    out.WriteVarU64(0);
+    EXPECT_EQ(DecodeCausalCoreState(out.buffer()).status().code(),
+              StatusCode::kDataLoss)
+        << "self " << self;
+  }
 }
 
 TEST(CausalCoreCodecCompat, UnknownKindAndTruncationAreDataLoss) {
-  {
-    ByteWriter out;
-    out.WriteU16(0xFFFF);
-    out.WriteU8(7);  // no such core
-    const Bytes bytes = std::move(out).Take();
-    ByteReader in(bytes);
-    EXPECT_EQ(DecodeCausalCoreState(in).status().code(),
-              StatusCode::kDataLoss);
-  }
-  {
-    ByteWriter out;
-    out.WriteU16(0xFFFF);
-    const Bytes bytes = std::move(out).Take();
-    ByteReader in(bytes);
-    EXPECT_FALSE(DecodeCausalCoreState(in).ok());
-  }
-  {
-    // A matrix-tagged record is impossible: the matrix core writes
-    // legacy images.
-    ByteWriter out;
-    out.WriteU16(0xFFFF);
-    out.WriteU8(static_cast<std::uint8_t>(CausalCoreKind::kMatrix));
-    const Bytes bytes = std::move(out).Take();
-    ByteReader in(bytes);
-    EXPECT_EQ(DecodeCausalCoreState(in).status().code(),
-              StatusCode::kDataLoss);
-  }
+  const auto code = [](std::initializer_list<std::uint8_t> bytes) {
+    const Bytes image(bytes);
+    return DecodeCausalCoreState(image).status().code();
+  };
+  EXPECT_EQ(code({}), StatusCode::kDataLoss);
+  EXPECT_EQ(code({7}), StatusCode::kDataLoss);  // no such core
+  EXPECT_EQ(code({2}), StatusCode::kDataLoss);  // the retired reduced core
+  EXPECT_EQ(code({static_cast<std::uint8_t>(CausalCoreKind::kMatrix)}),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(code({static_cast<std::uint8_t>(CausalCoreKind::kHybrid)}),
+            StatusCode::kDataLoss);
 }
 
 // Causal transitivity through a relay, the scenario every core must
@@ -255,8 +219,7 @@ TEST_P(CausalCoreTransitivity, RelayedMessageWaitsForItsPredecessor) {
 
 INSTANTIATE_TEST_SUITE_P(Kinds, CausalCoreTransitivity,
                          ::testing::Values(CausalCoreKind::kMatrix,
-                                           CausalCoreKind::kHybrid,
-                                           CausalCoreKind::kReduced),
+                                           CausalCoreKind::kHybrid),
                          [](const auto& info) {
                            return std::string(
                                CausalCoreKindName(info.param));
@@ -339,8 +302,7 @@ TEST_P(CausalCoreRemapTest, SurvivorsKeepOrderAcrossAPermutedEpoch) {
 
 INSTANTIATE_TEST_SUITE_P(Kinds, CausalCoreRemapTest,
                          ::testing::Values(CausalCoreKind::kMatrix,
-                                           CausalCoreKind::kHybrid,
-                                           CausalCoreKind::kReduced),
+                                           CausalCoreKind::kHybrid),
                          [](const auto& info) {
                            return std::string(
                                CausalCoreKindName(info.param));

@@ -50,7 +50,7 @@ TEST(ConfigIo, CausalCoreDefaultAndOverrides) {
   auto config = ParseMomConfig(
       "servers = 6\n"
       "causal_core = hybrid\n"
-      "causal_core 1 = reduced\n"
+      "causal_core 1 = matrix\n"
       "domain 0 = 0 1 2\n"
       "domain 1 = 2 3 4\n"
       "domain 2 = 4 5\n");
@@ -59,7 +59,7 @@ TEST(ConfigIo, CausalCoreDefaultAndOverrides) {
   EXPECT_EQ(config.value().CoreFor(DomainId(0)),
             clocks::CausalCoreKind::kHybrid);
   EXPECT_EQ(config.value().CoreFor(DomainId(1)),
-            clocks::CausalCoreKind::kReduced);
+            clocks::CausalCoreKind::kMatrix);
 
   // Format -> parse round trip preserves both the default and the
   // override, and omitting the key means matrix.
@@ -68,7 +68,7 @@ TEST(ConfigIo, CausalCoreDefaultAndOverrides) {
   ASSERT_TRUE(reparsed.ok()) << reparsed.status();
   EXPECT_EQ(reparsed.value().causal_core, clocks::CausalCoreKind::kHybrid);
   EXPECT_EQ(reparsed.value().CoreFor(DomainId(1)),
-            clocks::CausalCoreKind::kReduced);
+            clocks::CausalCoreKind::kMatrix);
   auto plain = ParseMomConfig("servers = 2\ndomain 0 = 0 1\n");
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ(plain.value().causal_core, clocks::CausalCoreKind::kMatrix);
@@ -79,6 +79,11 @@ TEST(ConfigIo, CausalCoreErrors) {
   // Unknown kinds, duplicate overrides and malformed lines are
   // rejected with the line number.
   EXPECT_FALSE(ParseMomConfig("servers = 2\ncausal_core = vector\n"
+                              "domain 0 = 0 1\n")
+                   .ok());
+  // The Drummond-Barbosa reduced core is retired: the paper's Updates
+  // stamps match or beat it in every measured cell.
+  EXPECT_FALSE(ParseMomConfig("servers = 2\ncausal_core = reduced\n"
                               "domain 0 = 0 1\n")
                    .ok());
   EXPECT_FALSE(ParseMomConfig("servers = 2\ncausal_core 0 = matrix\n"

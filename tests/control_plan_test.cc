@@ -90,7 +90,7 @@ TEST(ReconfigPlan, BuildRejectsCausalCoreChangeOnSurvivingDomain) {
 
   // Flipping the global default has the same effect on every domain.
   auto flipped = old_config;
-  flipped.causal_core = clocks::CausalCoreKind::kReduced;
+  flipped.causal_core = clocks::CausalCoreKind::kHybrid;
   EXPECT_FALSE(ReconfigPlan::Build(0, old_config, flipped).ok());
 }
 
@@ -119,7 +119,7 @@ TEST(ReconfigPlanOps, MergeDomainsRejectsMixedCores) {
 TEST(ReconfigPlanOps, SplitDomainInheritsTheNonDefaultCore) {
   auto config = ThreeDomainChain();
   config.causal_core_overrides.emplace_back(DomainId(1),
-                                            clocks::CausalCoreKind::kReduced);
+                                            clocks::CausalCoreKind::kHybrid);
   domains::TrafficProfile traffic(3);
   traffic.set(1, 2, 100.0);
   traffic.set(0, 1, 1.0);
@@ -127,13 +127,13 @@ TEST(ReconfigPlanOps, SplitDomainInheritsTheNonDefaultCore) {
                            /*max_domain_size=*/2);
   ASSERT_TRUE(split.ok()) << split.status();
   // Every part of the old D1 -- the id-keeping part and the split-off
-  // ones -- keeps running the reduced core.
+  // ones -- keeps running the hybrid core.
   std::size_t parts = 0;
   for (const auto& spec : split.value().domains) {
     if (spec.id != DomainId(1) && spec.id.value() < 10) continue;
     ++parts;
     EXPECT_EQ(split.value().CoreFor(spec.id),
-              clocks::CausalCoreKind::kReduced)
+              clocks::CausalCoreKind::kHybrid)
         << "domain " << to_string(spec.id);
   }
   EXPECT_GE(parts, 2u);

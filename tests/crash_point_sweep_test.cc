@@ -5,16 +5,22 @@
 // it over the inner store right after the failing event, and runs the
 // cluster to quiescence.  Whatever commit the crash hits, the oracle
 // must stay green, nothing may be left queued or held, and no queue
-// record may outlive the traffic.
+// record may outlive the traffic.  Two scenarios: a Flat(3) matrix
+// domain, and a Bus whose router sits in one hybrid and one matrix
+// domain, so a crashed router recovers both clocks and its fwd/ stage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "causality/checker.h"
 #include "causality/trace.h"
+#include "clocks/causal_core.h"
 #include "domains/deployment.h"
 #include "domains/topologies.h"
 #include "mom/agent_server.h"
@@ -70,14 +76,56 @@ struct SweepResult {
   std::vector<MessageId> sink_order;
 };
 
+// One send, then the cluster runs to `run_until` (0 = no run).
+struct Step {
+  ServerId from;
+  ServerId to;
+  const char* subject;
+  sim::Time run_until;
+};
+
+struct Scenario {
+  domains::MomConfig config;
+  ServerId sink;  // hosts the OrderSink as local agent 1
+  std::optional<std::pair<ServerId, ServerId>> slow_link;  // 400 ms
+  std::vector<Step> steps;
+};
+
 // The persistence tests' crash traffic on Flat(3): S0 -> S1 is slow, so
 // m1 ("direct") stays unacked in S0's QueueOUT while m3 ("indirect",
-// S2 -> S1, causally after m1 via m2) is held back at S1.  The victim's
-// store sits behind a FaultyStore armed to fail its `fail_at`-th commit
-// after boot (0 = never).
-SweepResult RunScenario(ServerId victim, std::uint64_t fail_at) {
+// S2 -> S1, causally after m1 via m2) is held back at S1.
+Scenario FlatScenario() {
+  return Scenario{domains::topologies::Flat(3),
+                  ServerId(1),
+                  std::make_pair(ServerId(0), ServerId(1)),
+                  {{ServerId(0), ServerId(1), "direct", 0},
+                   {ServerId(0), ServerId(2), "relay", 10 * sim::kMillisecond},
+                   {ServerId(2), ServerId(1), "indirect",
+                    50 * sim::kMillisecond}}};
+}
+
+// Bus(2, 2): router S0 is in the backbone D0 = {S0, S2} (matrix) and
+// the leaf D1 = {S0, S1} (hybrid).  Traffic crosses it both ways, so it
+// stages forwards under fwd/ and advances both of its clocks.
+Scenario RouterScenario() {
+  domains::MomConfig config = domains::topologies::Bus(2, 2);
+  config.causal_core_overrides.emplace_back(DomainId(1),
+                                            clocks::CausalCoreKind::kHybrid);
+  return Scenario{std::move(config),
+                  ServerId(3),
+                  std::nullopt,
+                  {{ServerId(1), ServerId(3), "first", 0},
+                   {ServerId(3), ServerId(1), "back", 0},
+                   {ServerId(1), ServerId(3), "second", 10 * sim::kMillisecond},
+                   {ServerId(1), ServerId(3), "third", 0}}};
+}
+
+// Runs `scenario` with the victim's store behind a FaultyStore armed to
+// fail its `fail_at`-th commit after boot (0 = never).
+SweepResult RunScenario(const Scenario& scenario, ServerId victim,
+                        std::uint64_t fail_at) {
   const domains::Deployment deployment =
-      domains::Deployment::Create(domains::topologies::Flat(3)).value();
+      domains::Deployment::Create(scenario.config).value();
   sim::Simulator simulator;
   net::SimRuntime runtime(simulator);
   net::SimNetwork network(simulator, net::CostModel{});
@@ -96,7 +144,7 @@ SweepResult RunScenario(ServerId victim, std::uint64_t fail_at) {
   const auto make_server = [&](ServerId id, mom::Store* store) {
     auto server = std::make_unique<mom::AgentServer>(
         deployment, id, endpoints.at(id).get(), &runtime, store, options);
-    if (id == ServerId(1)) {
+    if (id == scenario.sink) {
       auto agent = std::make_unique<OrderSink>();
       sink = agent.get();
       server->AttachAgent(1, std::move(agent));
@@ -141,12 +189,14 @@ SweepResult RunScenario(ServerId victim, std::uint64_t fail_at) {
     reboot_if_halted();
   };
 
-  network.SetLinkLatency(ServerId(0), ServerId(1), 400 * sim::kMillisecond);
-  send(ServerId(0), ServerId(1), "direct");
-  send(ServerId(0), ServerId(2), "relay");
-  run_until(10 * sim::kMillisecond);
-  send(ServerId(2), ServerId(1), "indirect");
-  run_until(50 * sim::kMillisecond);
+  if (scenario.slow_link.has_value()) {
+    network.SetLinkLatency(scenario.slow_link->first,
+                           scenario.slow_link->second, 400 * sim::kMillisecond);
+  }
+  for (const Step& step : scenario.steps) {
+    send(step.from, step.to, step.subject);
+    if (step.run_until != 0) run_until(step.run_until);
+  }
   while (simulator.Step()) reboot_if_halted();
 
   result.victim_commits = stores.at(victim).commit_count() - boot_commits;
@@ -176,16 +226,20 @@ SweepResult RunScenario(ServerId victim, std::uint64_t fail_at) {
   return result;
 }
 
-void Sweep(ServerId victim, bool check_sink_order) {
-  const SweepResult uncrashed = RunScenario(victim, 0);
+void Sweep(const Scenario& scenario, ServerId victim, bool check_sink_order) {
+  const SweepResult uncrashed = RunScenario(scenario, victim, 0);
   ASSERT_GT(uncrashed.victim_commits, 0u);
   ASSERT_EQ(uncrashed.reboots, 0u);
-  ASSERT_EQ(uncrashed.sink_order.size(), 2u);
+  ASSERT_EQ(uncrashed.sink_order.size(),
+            std::count_if(scenario.steps.begin(), scenario.steps.end(),
+                          [&](const Step& step) {
+                            return step.to == scenario.sink;
+                          }));
   for (std::uint64_t k = 1; k <= uncrashed.victim_commits; ++k) {
     SCOPED_TRACE(to_string(victim) + " fail-stopped at commit k=" +
                  std::to_string(k) + " of " +
                  std::to_string(uncrashed.victim_commits));
-    const SweepResult crashed = RunScenario(victim, k);
+    const SweepResult crashed = RunScenario(scenario, victim, k);
     EXPECT_EQ(crashed.reboots, 1u);
     if (check_sink_order) {
       EXPECT_EQ(crashed.sink_order, uncrashed.sink_order);
@@ -194,11 +248,17 @@ void Sweep(ServerId victim, bool check_sink_order) {
 }
 
 TEST(CrashPointSweep, HoldingReceiverSurvivesACrashAtEveryCommit) {
-  Sweep(ServerId(1), /*check_sink_order=*/true);
+  Sweep(FlatScenario(), ServerId(1), /*check_sink_order=*/true);
 }
 
 TEST(CrashPointSweep, SenderWithUnackedFrameSurvivesACrashAtEveryCommit) {
-  Sweep(ServerId(0), /*check_sink_order=*/false);
+  Sweep(FlatScenario(), ServerId(0), /*check_sink_order=*/false);
+}
+
+// Every message to the sink comes from S1 through the router, so its
+// delivery order is fixed whatever commit the router crashes at.
+TEST(CrashPointSweep, HybridMatrixRouterSurvivesACrashAtEveryCommit) {
+  Sweep(RouterScenario(), ServerId(0), /*check_sink_order=*/true);
 }
 
 }  // namespace

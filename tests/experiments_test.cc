@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "clocks/causal_clock.h"
+#include "clocks/stamp.h"
 #include "domains/topologies.h"
 #include "workload/fit.h"
 

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
 
 #include "causality/checker.h"
+#include "clocks/causal_core.h"
 #include "domains/topologies.h"
 #include "mom/agent_server.h"
 #include "mom/file_store.h"
@@ -16,6 +18,15 @@ namespace cmom {
 namespace {
 
 namespace fs = std::filesystem;
+
+// The matrix of `server`'s clock for deployment domain `index`, if the
+// server is a member of that domain.
+std::optional<clocks::MatrixClock> MatrixOf(const mom::AgentServer& server,
+                                            std::size_t index) {
+  auto core = server.CoreSnapshot(index);
+  if (core == nullptr) return std::nullopt;
+  return dynamic_cast<const clocks::MatrixClockCore&>(*core).matrix();
+}
 
 class FileStoreMomTest : public ::testing::Test {
  protected:
@@ -140,10 +151,9 @@ TEST_F(FileStoreMomTest, ClockStateSurvivesOnDisk) {
                       .ok());
     }
     simulator.RunToCompletion();
-    const auto* clock = server0.FindDomainClock(0);
-    ASSERT_NE(clock, nullptr);
-    sends_before =
-        clock->matrix().at(DomainServerId(0), DomainServerId(1));
+    const auto clock = MatrixOf(server0, 0);
+    ASSERT_TRUE(clock.has_value());
+    sends_before = clock->at(DomainServerId(0), DomainServerId(1));
     EXPECT_EQ(sends_before, 3u);
     server0.Shutdown();
     server1.Shutdown();
@@ -157,16 +167,15 @@ TEST_F(FileStoreMomTest, ClockStateSurvivesOnDisk) {
                            &runtime, store1.get());
   ASSERT_TRUE(server0.Boot().ok());
   ASSERT_TRUE(server1.Boot().ok());
-  const auto* clock = server0.FindDomainClock(0);
-  ASSERT_NE(clock, nullptr);
-  EXPECT_EQ(clock->matrix().at(DomainServerId(0), DomainServerId(1)),
-            sends_before);
+  const auto clock = MatrixOf(server0, 0);
+  ASSERT_TRUE(clock.has_value());
+  EXPECT_EQ(clock->at(DomainServerId(0), DomainServerId(1)), sends_before);
   ASSERT_TRUE(server0
                   .SendMessage(AgentId{ServerId(0), 1},
                                AgentId{ServerId(1), 1}, "m")
                   .ok());
   simulator.RunToCompletion();
-  EXPECT_EQ(clock->matrix().at(DomainServerId(0), DomainServerId(1)),
+  EXPECT_EQ(MatrixOf(server0, 0)->at(DomainServerId(0), DomainServerId(1)),
             sends_before + 1);
   server0.Shutdown();
   server1.Shutdown();

@@ -4,11 +4,9 @@
 // "fuzzing" is deterministic (seeded) so failures replay.
 #include <gtest/gtest.h>
 
-#include "clocks/causal_clock.h"
 #include "clocks/causal_core.h"
 #include "clocks/matrix_clock.h"
 #include "clocks/stamp.h"
-#include "clocks/updates_tracker.h"
 #include "common/log.h"
 #include "common/rng.h"
 #include "domains/config_io.h"
@@ -46,26 +44,13 @@ TEST_P(DecodeFuzz, RandomBytesNeverCrashDecoders) {
       ByteReader reader(bytes);
       (void)clocks::VectorClock::Decode(reader);
     }
-    {
-      ByteReader reader(bytes);
-      (void)clocks::UpdatesTracker::Decode(reader);
-    }
-    {
-      ByteReader reader(bytes);
-      (void)clocks::CausalDomainClock::DecodeState(reader);
-    }
-    {
-      ByteReader reader(bytes);
-      (void)clocks::DecodeCausalCoreState(reader);
-    }
-    {
-      // The same bytes behind the 0xFFFF sentinel exercise the
-      // per-kind core payload decoders (the first random byte lands in
-      // the kind slot).
-      Bytes tagged{0xFF, 0xFF};
+    (void)clocks::DecodeCausalCoreState(bytes);
+    for (std::uint8_t kind : {0, 1}) {
+      // The same bytes behind each valid kind byte exercise every
+      // per-kind core payload decoder.
+      Bytes tagged{kind};
       tagged.insert(tagged.end(), bytes.begin(), bytes.end());
-      ByteReader reader(tagged);
-      (void)clocks::DecodeCausalCoreState(reader);
+      (void)clocks::DecodeCausalCoreState(tagged);
     }
     {
       ByteReader reader(bytes);

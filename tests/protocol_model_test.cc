@@ -1,6 +1,6 @@
 // Model-based validation of the matrix-clock delivery condition.
 //
-// The CausalDomainClock protocol is run against an independent
+// The MatrixClockCore protocol is run against an independent
 // specification: every stamped message also carries a *vector* event
 // timestamp maintained on the side (the textbook characterization of
 // causal precedence).  Under random sends and random per-link FIFO
@@ -12,7 +12,7 @@
 #include <deque>
 #include <vector>
 
-#include "clocks/causal_clock.h"
+#include "clocks/causal_core.h"
 #include "clocks/vector_clock.h"
 #include "common/rng.h"
 
@@ -31,7 +31,7 @@ class ProtocolModel : public ::testing::TestWithParam<
 TEST_P(ProtocolModel, DeliveryExtendsSpecOrderAndMakesProgress) {
   const auto [n, mode, seed] = GetParam();
 
-  std::vector<CausalDomainClock> protocol;
+  std::vector<MatrixClockCore> protocol;
   std::vector<VectorClock> spec;  // per-node event clock (the model)
   for (std::size_t i = 0; i < n; ++i) {
     protocol.emplace_back(DomainServerId(static_cast<std::uint16_t>(i)), n,
@@ -62,12 +62,12 @@ TEST_P(ProtocolModel, DeliveryExtendsSpecOrderAndMakesProgress) {
       const std::size_t to = rng.NextBelow(n);
       if (from == to || links[from][to].empty()) continue;
       ModelMessage& head = links[from][to].front();
-      const auto check = protocol[to].Check(
+      const auto check = protocol[to].CheckReceive(
           DomainServerId(static_cast<std::uint16_t>(from)), head.stamp);
       ASSERT_NE(check, CheckResult::kDuplicate);
       if (check == CheckResult::kDeliver) {
-        protocol[to].Commit(DomainServerId(static_cast<std::uint16_t>(from)),
-                            head.stamp);
+        protocol[to].OnDeliver(
+            DomainServerId(static_cast<std::uint16_t>(from)), head.stamp);
         spec[to].MergeFrom(head.spec);
         spec[to].Increment(to);
         delivered[to].push_back(head.spec);
@@ -85,12 +85,12 @@ TEST_P(ProtocolModel, DeliveryExtendsSpecOrderAndMakesProgress) {
       for (std::size_t to = 0; to < n; ++to) {
         while (from != to && !links[from][to].empty()) {
           ModelMessage& head = links[from][to].front();
-          if (protocol[to].Check(
+          if (protocol[to].CheckReceive(
                   DomainServerId(static_cast<std::uint16_t>(from)),
                   head.stamp) != CheckResult::kDeliver) {
             break;
           }
-          protocol[to].Commit(
+          protocol[to].OnDeliver(
               DomainServerId(static_cast<std::uint16_t>(from)), head.stamp);
           spec[to].MergeFrom(head.spec);
           spec[to].Increment(to);

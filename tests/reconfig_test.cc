@@ -60,12 +60,14 @@ void ExpectCleanTrace(ThreadedHarness& harness) {
 }
 
 void ExpectAllStoresAt(ThreadedHarness& harness, std::uint64_t epoch) {
+  // Reads ride a live server's pipeline instead of racing its commits.
+  control::Coordinator reader(&harness);
   for (ServerId id : harness.KnownServers()) {
-    auto current = control::CurrentEpochOf(*harness.StoreOf(id));
+    auto current = reader.EpochRecordOf(id, control::kEpochCurrentKey);
     ASSERT_TRUE(current.ok()) << current.status();
-    EXPECT_EQ(current.value(), epoch) << "store of " << to_string(id);
-    auto pending = control::ReadEpochRecord(*harness.StoreOf(id),
-                                            control::kEpochPendingKey);
+    EXPECT_EQ(current.value().has_value() ? current.value()->epoch : 0, epoch)
+        << "store of " << to_string(id);
+    auto pending = reader.EpochRecordOf(id, control::kEpochPendingKey);
     ASSERT_TRUE(pending.ok()) << pending.status();
     EXPECT_FALSE(pending.value().has_value())
         << "stale pending record on " << to_string(id);

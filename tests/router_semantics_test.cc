@@ -5,6 +5,9 @@
 // final destination when chains race a slow direct link.
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "clocks/causal_core.h"
 #include "domains/topologies.h"
 #include "workload/agents.h"
 #include "workload/sim_harness.h"
@@ -17,6 +20,15 @@ using workload::SimHarnessOptions;
 using workload::SinkAgent;
 
 ServerId S(std::uint16_t v) { return ServerId(v); }
+
+// The matrix of `server`'s clock for deployment domain `index`, if the
+// server is a member of that domain.
+std::optional<clocks::MatrixClock> MatrixOf(const mom::AgentServer& server,
+                                            std::size_t index) {
+  auto core = server.CoreSnapshot(index);
+  if (core == nullptr) return std::nullopt;
+  return dynamic_cast<const clocks::MatrixClockCore&>(*core).matrix();
+}
 
 domains::MomConfig Figure2() {
   domains::MomConfig config;
@@ -81,23 +93,23 @@ TEST(Figure2, ClocksStayDomainLocal) {
 
   // S1's clock for domain A (index 0) recorded its send to S3
   // (domain-local ids: S1=0, S2=1, S3=2).
-  const auto* a_clock = harness.server(S(1)).FindDomainClock(0);
-  ASSERT_NE(a_clock, nullptr);
-  EXPECT_EQ(a_clock->matrix().at(DomainServerId(0), DomainServerId(2)), 1u);
+  const auto a_clock = MatrixOf(harness.server(S(1)), 0);
+  ASSERT_TRUE(a_clock.has_value());
+  EXPECT_EQ(a_clock->at(DomainServerId(0), DomainServerId(2)), 1u);
 
   // S4/S5's domain B clock never moved: the route does not touch B.
-  const auto* b_clock = harness.server(S(4)).FindDomainClock(1);
-  ASSERT_NE(b_clock, nullptr);
-  EXPECT_EQ(b_clock->matrix().Total(), 0u);
+  const auto b_clock = MatrixOf(harness.server(S(4)), 1);
+  ASSERT_TRUE(b_clock.has_value());
+  EXPECT_EQ(b_clock->Total(), 0u);
 
   // Router S3 is in A and D and carries a clock for each; its D clock
   // (index 3; local ids S3=0,S5=1,S6=2,S7=3) recorded S3->S7.
-  const auto* d_clock = harness.server(S(3)).FindDomainClock(3);
-  ASSERT_NE(d_clock, nullptr);
-  EXPECT_EQ(d_clock->matrix().at(DomainServerId(0), DomainServerId(3)), 1u);
+  const auto d_clock = MatrixOf(harness.server(S(3)), 3);
+  ASSERT_TRUE(d_clock.has_value());
+  EXPECT_EQ(d_clock->at(DomainServerId(0), DomainServerId(3)), 1u);
   // And S3 has no clock for domains it is not a member of.
-  EXPECT_EQ(harness.server(S(3)).FindDomainClock(1), nullptr);
-  EXPECT_EQ(harness.server(S(3)).FindDomainClock(2), nullptr);
+  EXPECT_EQ(harness.server(S(3)).CoreSnapshot(1), nullptr);
+  EXPECT_EQ(harness.server(S(3)).CoreSnapshot(2), nullptr);
 }
 
 TEST(Figure2, CrossDomainTriangleHeldBackAtRouter) {

@@ -94,27 +94,5 @@ TEST(UpdatesTracker, ReChangeBySelfClearsTheExclusion) {
   EXPECT_NE(stamp.Find(D(1), D(0)), nullptr);
 }
 
-TEST(UpdatesTracker, PersistenceRoundTrip) {
-  MatrixClock matrix(3);
-  UpdatesTracker tracker(3);
-  matrix.set(D(0), D(1), 1);
-  tracker.NoteChange(D(0), D(1), std::nullopt);
-  (void)tracker.CollectFor(D(1), matrix);
-  matrix.set(D(2), D(1), 9);
-  tracker.NoteChange(D(2), D(1), D(2));
-
-  ByteWriter writer;
-  tracker.Encode(writer);
-  ByteReader reader(writer.buffer());
-  auto decoded = UpdatesTracker::Decode(reader);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value(), tracker);
-
-  // The recovered tracker produces the same stamps.
-  UpdatesTracker recovered = std::move(decoded).value();
-  EXPECT_EQ(recovered.CollectFor(D(1), matrix),
-            tracker.CollectFor(D(1), matrix));
-}
-
 }  // namespace
 }  // namespace cmom::clocks

@@ -11,10 +11,9 @@
 //                                         domain graph, router-servers,
 //                                         per-domain causal cores, and
 //                                         per-server clock cost (per-core
-//                                         stamp cost: s^2 matrix, s
-//                                         reduced, 1 hybrid); exits
-//                                         non-zero when the graph is
-//                                         cyclic
+//                                         stamp cost: s^2 matrix, 1
+//                                         hybrid); exits non-zero when
+//                                         the graph is cyclic
 //   momtool split <traffic> <max-size>    traffic-aware domain split
 //                                         (Section 7 future work);
 //                                         emits the config, plus cost
@@ -28,8 +27,7 @@
 //                                         delivery and print transport
 //                                         health, commit counters and
 //                                         the active causal core per
-//                                         domain (K = matrix|reduced|
-//                                         hybrid)
+//                                         domain (K = matrix|hybrid)
 //   momtool storestat <dir>               inspect a FileStore directory:
 //                                         keys and bytes per key-space
 //                                         prefix, plus WAL/snapshot
@@ -199,9 +197,9 @@ int TopoLint(const std::string& path) {
   }
 
   // Per-server clock cost: what a server pays per stamp in each of its
-  // domains, summed -- s^2 under a matrix core, s under the reduced
-  // core, O(1) under hybrid buffering.  This (not a fixed s^2) is the
-  // quantity the splitter's objective approximates.
+  // domains, summed -- s^2 under a matrix core, O(1) under hybrid
+  // buffering.  This (not a fixed s^2) is the quantity the splitter's
+  // objective approximates.
   std::size_t total = 0;
   std::printf("clock cost (sum of per-core stamp cost per server):\n");
   for (ServerId id : d.servers()) {
@@ -431,7 +429,7 @@ int TcpSmoke(int argc, char** argv) {
       auto kind = clocks::ParseCausalCoreKind(argv[++arg]);
       if (!kind.has_value()) {
         std::fprintf(stderr,
-                     "tcpsmoke: --core expects matrix|reduced|hybrid, "
+                     "tcpsmoke: --core expects matrix|hybrid, "
                      "got '%s'\n",
                      argv[arg]);
         return 2;
