@@ -1,34 +1,32 @@
 // Causal-core comparison: timestamp bytes, hold-back behaviour and
-// throughput of the pluggable causal cores as the domain grows.
+// throughput of the matrix clock's two stamp modes as the domain grows.
 //
-// The paper's matrix clock pays O(s^2) per timestamp, which is the
-// force that caps domain size and drives the splitter.  The hybrid
-// core (Almeida) ships per-link FIFO headers plus an explicit
-// causal-barrier set -- independent of s at a fixed in-flight load over
-// a bounded partner set.  This bench
-// runs the SAME seeded traffic schedule through each core at n in
-// {4, 8, 16, 32, 64} members and reports bytes/msg, hold-back depth,
-// delivery latency (in scheduler steps) and msgs/sec.
+// The paper's full matrix stamp pays O(s^2) per message, which is the
+// force that caps domain size and drives the splitter.  Appendix A's
+// Updates mode ships only the entries changed since the last send to
+// the same destination.  This bench runs the SAME seeded traffic
+// schedule through each mode at n in {4, 8, 16, 32, 64} members and
+// reports bytes/msg, hold-back depth, delivery latency (in scheduler
+// steps) and msgs/sec.
 //
 // Two traffic patterns bound the comparison:
 //   ring      each member converses with its two neighbours only
 //             (bounded-degree, bidirectional -- the regime every MOM
-//             conversation workload lives in).  Hybrid stamps stay
-//             FLAT as n grows: delivery confirmations flow straight
-//             back along each link, so the barrier set tracks local
-//             in-flight.  Matrix still pays the full s^2.
+//             conversation workload lives in).  Updates stamps grow
+//             slowly with n: a message carries what changed since the
+//             last send on its link, which is mostly local.  The full
+//             matrix still pays s^2.
 //   uniform   every member sends to every other uniformly.  With the
 //             total in-flight capped, each link carries ~1/n^2 of the
-//             traffic, confirmations lag ~n messages, and ANY exact
-//             scheme must carry the grown possibly-undelivered pool;
-//             hybrid degrades gracefully (still far below matrix)
-//             rather than staying constant.
+//             traffic, so a delta covers ~n sends' worth of changes and
+//             Updates degrades toward the full matrix.
 //
-// The matrix run doubles as ground truth: every core implements exact
-// causal delivery, so each run asserts (a) per-receiver delivery order
-// identical to the matrix reference, (b) every message delivered
-// exactly once, and (c) no message left in a hold-back queue at drain.
-// A run that violates any of these aborts the bench with exit 1.
+// The full-stamp run doubles as ground truth: both modes implement
+// exact causal delivery, so each run asserts (a) per-receiver delivery
+// order identical to the full-stamp reference, (b) every message
+// delivered exactly once, and (c) no message left in a hold-back queue
+// at drain.  A run that violates any of these aborts the bench with
+// exit 1.
 //
 // Output: a table on stdout plus BENCH_causal_cores.json (use --out to
 // redirect).  --smoke shrinks message counts for the CI bench label.
@@ -48,7 +46,7 @@ using namespace cmom;
 namespace {
 
 // Deterministic xorshift64* scheduler RNG: the schedule must replay
-// bit-identically across cores for the equivalence assertion.
+// bit-identically across modes for the equivalence assertion.
 struct Rng {
   std::uint64_t state;
   std::uint64_t Next() {
@@ -82,30 +80,29 @@ struct RunResult {
   bool exactly_once = false;
 };
 
-// One (core kind, n) cell: n members of one domain exchanging
+// One (stamp mode, n) cell: n members of one domain exchanging
 // `messages` random unicasts over per-link FIFO queues with a fixed
 // in-flight cap, cross-link interleaving chosen by the seeded RNG.
 // Every member also keeps a hold-back queue fed by CheckReceive, like
-// the AgentServer's.  `reference_order` is the matrix run's delivery
-// log; when non-null the run asserts order equality against it.
+// the AgentServer's.  `reference_order` is the full-stamp run's
+// delivery log; when non-null the run asserts order equality against
+// it.
 enum class Traffic { kRing, kUniform };
 
-RunResult RunCell(clocks::CausalCoreKind kind, clocks::StampMode mode,
-                  Traffic traffic, std::size_t n, std::size_t messages,
-                  std::uint64_t seed,
+RunResult RunCell(clocks::StampMode mode, Traffic traffic, std::size_t n,
+                  std::size_t messages, std::uint64_t seed,
                   const std::vector<std::vector<std::uint64_t>>*
                       reference_order,
                   std::vector<std::vector<std::uint64_t>>* order_out) {
-  // Fixed in-flight cap, independent of n: the load level at which the
-  // hybrid core's barrier set (and so its stamp) is expected to stay
-  // flat as the domain grows.
+  // Fixed in-flight cap, independent of n, so the two patterns differ
+  // only in how the load spreads over links.
   constexpr std::size_t kMaxInFlight = 48;
 
-  std::vector<std::unique_ptr<clocks::CausalCore>> cores;
+  std::vector<clocks::MatrixClockCore> cores;
   cores.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    cores.push_back(clocks::MakeCausalCore(
-        kind, DomainServerId(static_cast<std::uint16_t>(i)), n, mode));
+    cores.emplace_back(DomainServerId(static_cast<std::uint16_t>(i)), n,
+                       mode);
   }
 
   // links[src * n + dst]: FIFO transit queue of the src -> dst link.
@@ -129,7 +126,7 @@ RunResult RunCell(clocks::CausalCoreKind kind, clocks::StampMode mode,
   bool exactly_once = true;
 
   // Encodes a (src,dst,seq) link position into the per-receiver
-  // delivery log; identical logs across cores == identical order.
+  // delivery log; identical logs across modes == identical order.
   auto log_key = [n](std::size_t src, std::size_t dst, std::uint64_t seq) {
     return (static_cast<std::uint64_t>(src * n + dst) << 40) | seq;
   };
@@ -141,11 +138,11 @@ RunResult RunCell(clocks::CausalCoreKind kind, clocks::StampMode mode,
       auto& queue = holdback[dst];
       for (std::size_t i = 0; i < queue.size(); ++i) {
         const InFlight& m = queue[i];
-        const auto verdict = cores[dst]->CheckReceive(
+        const auto verdict = cores[dst].CheckReceive(
             DomainServerId(m.src), m.stamp);
         if (verdict == clocks::CheckResult::kHold) continue;
         if (verdict == clocks::CheckResult::kDeliver) {
-          cores[dst]->OnDeliver(DomainServerId(m.src), m.stamp);
+          cores[dst].OnDeliver(DomainServerId(m.src), m.stamp);
           latency_sum += step - m.sent_step;
           const std::size_t link = m.src * n + dst;
           if (m.seq != delivered_seq[link] + 1) exactly_once = false;
@@ -186,7 +183,7 @@ RunResult RunCell(clocks::CausalCoreKind kind, clocks::StampMode mode,
       m.src = static_cast<std::uint16_t>(src);
       m.seq = ++sent_seq[src * n + dst];
       m.sent_step = step;
-      m.stamp = cores[src]->PrepareSend(
+      m.stamp = cores[src].PrepareSend(
           DomainServerId(static_cast<std::uint16_t>(dst)));
       ByteWriter encoded;
       m.stamp.Encode(encoded);
@@ -212,10 +209,10 @@ RunResult RunCell(clocks::CausalCoreKind kind, clocks::StampMode mode,
       links[link].pop_front();
       --in_flight;
       const std::size_t dst = link % n;
-      const auto verdict = cores[dst]->CheckReceive(
+      const auto verdict = cores[dst].CheckReceive(
           DomainServerId(m.src), m.stamp);
       if (verdict == clocks::CheckResult::kDeliver) {
-        cores[dst]->OnDeliver(DomainServerId(m.src), m.stamp);
+        cores[dst].OnDeliver(DomainServerId(m.src), m.stamp);
         latency_sum += step - m.sent_step;
         if (m.seq != delivered_seq[link] + 1) exactly_once = false;
         delivered_seq[link] = m.seq;
@@ -236,8 +233,8 @@ RunResult RunCell(clocks::CausalCoreKind kind, clocks::StampMode mode,
   const auto t1 = std::chrono::steady_clock::now();
   const double seconds = std::chrono::duration<double>(t1 - t0).count();
 
-  // Drain check: exact cores leave nothing held back once every link
-  // is empty.
+  // Drain check: exact delivery leaves nothing held back once every
+  // link is empty.
   bool leak_free = delivered == messages;
   for (const auto& queue : holdback) {
     if (!queue.empty()) leak_free = false;
@@ -251,11 +248,8 @@ RunResult RunCell(clocks::CausalCoreKind kind, clocks::StampMode mode,
   }
 
   RunResult result;
-  result.core = std::string(clocks::CausalCoreKindName(kind));
-  if (kind == clocks::CausalCoreKind::kMatrix &&
-      mode == clocks::StampMode::kUpdates) {
-    result.core = "matrix_updates";
-  }
+  result.core =
+      mode == clocks::StampMode::kUpdates ? "matrix_updates" : "matrix";
   result.pattern = traffic == Traffic::kRing ? "ring" : "uniform";
   result.members = n;
   result.messages = messages;
@@ -310,10 +304,9 @@ void WriteJson(const std::string& path, const std::vector<RunResult>& results,
   std::fprintf(out, "  ],\n");
 
   // Headline: stamp growth from the smallest to the largest n, per
-  // (core, pattern).  Under ring traffic matrix should grow
-  // ~quadratically and hybrid should stay flat
-  // (ratio near 1); uniform traffic shows hybrid's graceful
-  // degradation.
+  // (mode, pattern).  Under ring traffic the full matrix grows
+  // ~quadratically and Updates stays within a small factor; uniform
+  // traffic shows Updates degrading toward the full matrix.
   auto at = [&](std::string_view core, std::string_view pattern,
                 bool largest) -> const RunResult* {
     const RunResult* found = nullptr;
@@ -328,7 +321,7 @@ void WriteJson(const std::string& path, const std::vector<RunResult>& results,
   };
   std::fprintf(out, "  \"summary\": {\n");
   for (const char* pattern : {"ring", "uniform"}) {
-    for (const char* core : {"matrix", "matrix_updates", "hybrid"}) {
+    for (const char* core : {"matrix", "matrix_updates"}) {
       const RunResult* small = at(core, pattern, false);
       const RunResult* large = at(core, pattern, true);
       const double growth =
@@ -372,24 +365,14 @@ int main(int argc, char** argv) {
   for (Traffic traffic : {Traffic::kRing, Traffic::kUniform}) {
     for (std::size_t n : sizes) {
       const std::size_t messages = per_member * n;
-      // The matrix (full-stamp) run is the reference order for this
-      // (pattern, n) cell.
+      // The full-stamp run is the reference order for this (pattern, n)
+      // cell.
       std::vector<std::vector<std::uint64_t>> reference;
-      struct Cell {
-        clocks::CausalCoreKind kind;
-        clocks::StampMode mode;
-      };
-      const Cell cells[] = {
-          {clocks::CausalCoreKind::kMatrix, clocks::StampMode::kFullMatrix},
-          {clocks::CausalCoreKind::kMatrix, clocks::StampMode::kUpdates},
-          {clocks::CausalCoreKind::kHybrid, clocks::StampMode::kFullMatrix},
-      };
-      for (const Cell& cell : cells) {
-        const bool is_reference =
-            cell.kind == clocks::CausalCoreKind::kMatrix &&
-            cell.mode == clocks::StampMode::kFullMatrix;
-        RunResult r = RunCell(cell.kind, cell.mode, traffic, n, messages,
-                              seed, is_reference ? nullptr : &reference,
+      for (clocks::StampMode mode :
+           {clocks::StampMode::kFullMatrix, clocks::StampMode::kUpdates}) {
+        const bool is_reference = mode == clocks::StampMode::kFullMatrix;
+        RunResult r = RunCell(mode, traffic, n, messages, seed,
+                              is_reference ? nullptr : &reference,
                               is_reference ? &reference : nullptr);
         std::printf(
             "%-8s %-16s %4zu %8zu %11.1f %9.0f %9.2f %8zu %9.1f %7s %5s\n",
@@ -405,7 +388,7 @@ int main(int argc, char** argv) {
 
   WriteJson(out_path, results, smoke, all_ok);
   if (!all_ok) {
-    std::fprintf(stderr, "FAILED: a core violated causal order or "
+    std::fprintf(stderr, "FAILED: a stamp mode violated causal order or "
                          "exactly-once delivery\n");
     return 1;
   }

@@ -6,8 +6,6 @@
 // statement, measured directly.
 #include <benchmark/benchmark.h>
 
-#include <memory>
-
 #include "clocks/causal_core.h"
 #include "clocks/matrix_clock.h"
 #include "clocks/stamp.h"
@@ -17,9 +15,6 @@ namespace {
 
 using cmom::DomainServerId;
 using cmom::Rng;
-using cmom::clocks::CausalCore;
-using cmom::clocks::CausalCoreKind;
-using cmom::clocks::MakeCausalCore;
 using cmom::clocks::MatrixClock;
 using cmom::clocks::MatrixClockCore;
 using cmom::clocks::Stamp;
@@ -103,32 +98,27 @@ void BM_StampEncodeDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_StampEncodeDecode)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
-// The three causal_core choices a config can name, swept side by side:
-// the paper's matrix baseline in both stamp modes and the Almeida-style
-// hybrid core.  The second range
-// argument indexes this table; each JSON row is labeled with the core
-// name so downstream tooling can group per-core series.
-struct CoreChoice {
+// The causal core's two stamp modes, swept side by side.  The second
+// range argument indexes this table; each JSON row is labeled with the
+// mode name so downstream tooling can group the series.
+struct ModeChoice {
   const char* name;
-  CausalCoreKind kind;
   StampMode mode;
 };
-constexpr CoreChoice kCoreChoices[] = {
-    {"matrix_full", CausalCoreKind::kMatrix, StampMode::kFullMatrix},
-    {"matrix_updates", CausalCoreKind::kMatrix, StampMode::kUpdates},
-    {"hybrid", CausalCoreKind::kHybrid, StampMode::kUpdates},
+constexpr ModeChoice kModeChoices[] = {
+    {"matrix_full", StampMode::kFullMatrix},
+    {"matrix_updates", StampMode::kUpdates},
 };
 
 void BM_CorePrepareSend(benchmark::State& state) {
   const std::size_t size = static_cast<std::size_t>(state.range(0));
-  const CoreChoice& choice = kCoreChoices[state.range(1)];
-  std::unique_ptr<CausalCore> core =
-      MakeCausalCore(choice.kind, DomainServerId(0), size, choice.mode);
+  const ModeChoice& choice = kModeChoices[state.range(1)];
+  MatrixClockCore core(DomainServerId(0), size, choice.mode);
   std::uint16_t dest = 1;
   std::uint64_t bytes = 0;
   std::uint64_t stamps = 0;
   for (auto _ : state) {
-    Stamp stamp = core->PrepareSend(DomainServerId(dest));
+    Stamp stamp = core.PrepareSend(DomainServerId(dest));
     bytes += stamp.EncodedSize();
     ++stamps;
     benchmark::DoNotOptimize(stamp);
@@ -139,28 +129,26 @@ void BM_CorePrepareSend(benchmark::State& state) {
       stamps == 0 ? 0 : static_cast<double>(bytes) / static_cast<double>(stamps);
 }
 BENCHMARK(BM_CorePrepareSend)
-    ->ArgsProduct({{4, 16, 64, 256}, {0, 1, 2}})
-    ->ArgNames({"s", "core"});
+    ->ArgsProduct({{4, 16, 64, 256}, {0, 1}})
+    ->ArgNames({"s", "mode"});
 
 void BM_CoreCheckAndDeliver(benchmark::State& state) {
   const std::size_t size = static_cast<std::size_t>(state.range(0));
-  const CoreChoice& choice = kCoreChoices[state.range(1)];
+  const ModeChoice& choice = kModeChoices[state.range(1)];
   // Sender 1 streams to receiver 0; the receiver checks and merges.
-  std::unique_ptr<CausalCore> sender =
-      MakeCausalCore(choice.kind, DomainServerId(1), size, choice.mode);
-  std::unique_ptr<CausalCore> receiver =
-      MakeCausalCore(choice.kind, DomainServerId(0), size, choice.mode);
+  MatrixClockCore sender(DomainServerId(1), size, choice.mode);
+  MatrixClockCore receiver(DomainServerId(0), size, choice.mode);
   for (auto _ : state) {
-    Stamp stamp = sender->PrepareSend(DomainServerId(0));
-    auto check = receiver->CheckReceive(DomainServerId(1), stamp);
+    Stamp stamp = sender.PrepareSend(DomainServerId(0));
+    auto check = receiver.CheckReceive(DomainServerId(1), stamp);
     benchmark::DoNotOptimize(check);
-    receiver->OnDeliver(DomainServerId(1), stamp);
+    receiver.OnDeliver(DomainServerId(1), stamp);
   }
   state.SetLabel(choice.name);
 }
 BENCHMARK(BM_CoreCheckAndDeliver)
-    ->ArgsProduct({{4, 16, 64, 256}, {0, 1, 2}})
-    ->ArgNames({"s", "core"});
+    ->ArgsProduct({{4, 16, 64, 256}, {0, 1}})
+    ->ArgNames({"s", "mode"});
 
 void BM_ClockStatePersistImage(benchmark::State& state) {
   const std::size_t size = static_cast<std::size_t>(state.range(0));

@@ -10,17 +10,16 @@
 // deterministic: every round takes identical simulated time, so the
 // average is exact after the warm-up round.
 //
-// A second section re-runs the same experiment under all three
-// causal_core choices (matrix full / matrix updates / hybrid) and
-// records one JSON row per (core, n) pair in
-// BENCH_fig7_cores.json (--out to redirect): the figure's quadratic
-// blow-up is a property of the matrix core, not of causal delivery.
+// A second section re-runs the same experiment under both stamp modes
+// of the causal core (full matrix / Appendix-A updates) and records one
+// JSON row per (mode, n) pair in BENCH_fig7_cores.json (--out to
+// redirect): the figure's quadratic blow-up is a property of full
+// stamps, not of causal delivery.
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "clocks/causal_core.h"
 #include "domains/topologies.h"
 #include "workload/experiments.h"
 
@@ -28,17 +27,13 @@ using namespace cmom;
 
 namespace {
 
-struct CoreChoice {
+struct ModeChoice {
   const char* name;
-  clocks::CausalCoreKind kind;
   clocks::StampMode mode;
 };
-constexpr CoreChoice kCoreChoices[] = {
-    {"matrix_full", clocks::CausalCoreKind::kMatrix,
-     clocks::StampMode::kFullMatrix},
-    {"matrix_updates", clocks::CausalCoreKind::kMatrix,
-     clocks::StampMode::kUpdates},
-    {"hybrid", clocks::CausalCoreKind::kHybrid, clocks::StampMode::kUpdates},
+constexpr ModeChoice kModeChoices[] = {
+    {"matrix_full", clocks::StampMode::kFullMatrix},
+    {"matrix_updates", clocks::StampMode::kUpdates},
 };
 
 struct CoreRow {
@@ -84,11 +79,11 @@ int main(int argc, char** argv) {
       "\nExpected shape: quadratic growth (R^2 of the quadratic fit should\n"
       "exceed the linear fit, as in the paper's quadratic-fit overlay).\n");
 
-  // The same flat-domain experiment under each causal core.
+  // The same flat-domain experiment under each stamp mode.
   std::printf("\nCausal-core sweep (same flat domain, avg RTT ms / stamp "
               "bytes per frame):\n");
   std::printf("%16s", "n");
-  for (const CoreChoice& choice : kCoreChoices) {
+  for (const ModeChoice& choice : kModeChoices) {
     std::printf("  %20s", choice.name);
   }
   std::printf("\n");
@@ -96,9 +91,8 @@ int main(int argc, char** argv) {
   for (auto [n, paper_ms] : paper) {
     (void)paper_ms;
     std::printf("%16zu", n);
-    for (const CoreChoice& choice : kCoreChoices) {
+    for (const ModeChoice& choice : kModeChoices) {
       auto config = domains::topologies::Flat(n, choice.mode);
-      config.causal_core = choice.kind;
       auto result = workload::RunPingPong(
           config, ServerId(0), ServerId(static_cast<std::uint16_t>(n - 1)),
           options);

@@ -45,7 +45,6 @@ int main() {
   workload::PrintSeries("Local unicast, bus of domains", domain_series);
   std::printf(
       "\nExpected shape: both series flat in n -- local delivery never\n"
-      "touches a matrix clock.  (Note the flat topology still pays the\n"
-      "larger persistent clock image in its commits.)\n");
+      "touches a matrix clock.\n");
   return 0;
 }

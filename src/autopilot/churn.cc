@@ -8,7 +8,6 @@
 #include <unordered_map>
 
 #include "causality/checker.h"
-#include "clocks/causal_core.h"
 #include "common/rng.h"
 #include "domains/topologies.h"
 #include "workload/agents.h"
@@ -22,8 +21,8 @@ namespace {
 double ClockCostOf(const domains::MomConfig& config) {
   double total = 0;
   for (const auto& domain : config.domains) {
-    total += static_cast<double>(clocks::CausalCoreStampCost(
-        config.CoreFor(domain.id), domain.members.size()));
+    const double s = static_cast<double>(domain.members.size());
+    total += s * s;
   }
   return total;
 }
@@ -54,7 +53,6 @@ Result<ChurnReport> RunChurnSoak(const ChurnSoakOptions& options) {
 
   domains::MomConfig config = domains::topologies::Daisy(
       options.chain_domains, options.domain_size);
-  config.causal_core = options.causal_core;
 
   // Scenario anchors, read from the generated chain rather than
   // hard-coded ids: the first two domains host the phase-1 hotspot

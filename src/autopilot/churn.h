@@ -21,7 +21,7 @@
 // the controller minted.  The same seeded scenario re-run with
 // `frozen = true` (controller in dry-run: observes, scores, journals,
 // never acts) is the baseline a BENCH_autopilot.json report compares
-// against: steady-state analytic score (core-aware per-message cost)
+// against: steady-state analytic score (s^2-per-hop message cost)
 // and peak router backlog, frozen vs closed-loop.
 #pragma once
 
@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "autopilot/controller.h"
-#include "clocks/causal_core.h"
 #include "common/status.h"
 
 namespace cmom::autopilot {
@@ -55,8 +54,6 @@ struct ChurnSoakOptions {
   // Baseline mode: the controller observes and journals but never
   // reconfigures (AutopilotOptions::dry_run).
   bool frozen = false;
-  // Causal core every domain runs.
-  clocks::CausalCoreKind causal_core = clocks::CausalCoreKind::kMatrix;
   // Policy gates (scenario-tuned defaults applied in RunChurnSoak when
   // left at zero).
   AutopilotOptions autopilot;

@@ -11,7 +11,7 @@
 //            splits via the Section 7 splitter, merges of adjacent
 //            chatty domains, router promotions for hot cross-domain
 //            pairs, absorption of join requests, retirement of leave
-//            requests) are priced with the core-aware analytic model
+//            requests) are priced with the s^2-per-hop analytic model
 //            (autopilot/scorer.h) over the same profile snapshot.
 //   decide   A candidate acts only if it clears every gate:
 //            - min-improvement threshold (fractional score reduction),

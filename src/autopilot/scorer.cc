@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "clocks/causal_core.h"
 #include "domains/deployment.h"
 
 namespace cmom::autopilot {
@@ -16,8 +15,8 @@ Result<DeploymentScore> ScoreConfig(const domains::MomConfig& config,
 
   DeploymentScore score;
   for (const auto& domain : d.domains()) {
-    score.clock_cost += static_cast<double>(clocks::CausalCoreStampCost(
-        config.CoreFor(domain.id), domain.size()));
+    const double s = static_cast<double>(domain.size());
+    score.clock_cost += s * s;
   }
 
   const std::size_t n = traffic.server_count();
@@ -42,10 +41,8 @@ Result<DeploymentScore> ScoreConfig(const domains::MomConfig& config,
         const ServerId hop = d.routing().NextHop(at, dest);
         auto link = d.LinkDomainIndex(at, hop);
         if (!link.ok()) return link.status();
-        const auto& domain = d.domain(link.value());
-        const double hop_entries = static_cast<double>(
-            clocks::CausalCoreStampCost(config.CoreFor(domain.id),
-                                        domain.size()));
+        const double s = static_cast<double>(d.domain(link.value()).size());
+        const double hop_entries = s * s;
         route_cost += options.cost.per_hop_fixed +
                       options.cost.per_entry * hop_entries;
         stamp_entries += hop_entries;

@@ -5,18 +5,16 @@
 // with the two gauges the autopilot budgets against:
 //
 //   route_cost   traffic-weighted per-message cost over routed paths,
-//                where each hop is priced with the *core-aware* stamp
-//                cost of the domain it crosses (s^2 matrix, O(1)
-//                hybrid -- clocks::CausalCoreStampCost), i.e. the same
-//                model CostEstimator::Estimate applies;
+//                where each hop is priced with the s^2 matrix stamp of
+//                the domain it crosses, i.e. the same model
+//                CostEstimator::Estimate applies;
 //   router_load  traffic-weighted count of extra hops -- every unit is
 //                a message some router-server must re-stamp, stage and
 //                forward, so this tracks the router backlog pressure a
 //                decomposition creates;
-//   clock_cost   sum over domains of the per-message stamp cost each
-//                member pays (the "sum s^2" budget of the ROADMAP item,
-//                generalized per core): the standing price of domain
-//                width, independent of traffic.
+//   clock_cost   sum over domains of s^2, the per-message stamp cost
+//                each member pays: the standing price of domain width,
+//                independent of traffic.
 //
 // total() mixes the three with the option weights; the policy engine
 // compares totals between the live config and candidate configs over
@@ -40,10 +38,10 @@ struct DeploymentScore {
   double router_load = 0;
   double clock_cost = 0;
   // Unweighted stamp entries shipped per unit time: sum over routed
-  // traffic of each hop's core stamp cost (s^2 entries for a matrix
-  // domain) times the link's rate.  This is the operational "sum s^2
-  // clock cost" the reports track -- what the wire actually carries --
-  // as opposed to clock_cost, the standing width of the clocks.
+  // traffic of s^2 per hop (the full matrix stamp of the hop's domain)
+  // times the link's rate.  This is the operational "sum s^2 clock
+  // cost" the reports track -- what the wire carries -- as opposed to
+  // clock_cost, the standing width of the clocks.
   double stamp_rate = 0;
 
   [[nodiscard]] double Total(const ScorerOptions& options) const {

@@ -26,7 +26,7 @@ constexpr std::uint16_t kRouter = 3;
 constexpr std::uint16_t kConsumer = 7;
 constexpr std::size_t kHighWatermark = 64;
 
-domains::MomConfig OverloadConfig(clocks::CausalCoreKind causal_core) {
+domains::MomConfig OverloadConfig() {
   domains::MomConfig config;
   for (std::uint16_t s = 0; s < 8; ++s) config.servers.push_back(ServerId(s));
   config.domains.push_back(
@@ -34,7 +34,6 @@ domains::MomConfig OverloadConfig(clocks::CausalCoreKind causal_core) {
   config.domains.push_back(
       {DomainId(1), {ServerId(3), ServerId(4), ServerId(5), ServerId(6)}});
   config.domains.push_back({DomainId(2), {ServerId(3), ServerId(7)}});
-  config.causal_core = causal_core;
   return config;
 }
 
@@ -146,7 +145,7 @@ Result<SoakReport> RunChaosSoak(const ChaosSoakOptions& options) {
   std::atomic<std::uint64_t> service_us{options.base_service_us};
   LatencyRecorder recorder;
 
-  workload::ThreadedHarness harness(OverloadConfig(options.causal_core),
+  workload::ThreadedHarness harness(OverloadConfig(),
                                     harness_options);
   CMOM_RETURN_IF_ERROR(
       harness.Init([&](ServerId id, mom::AgentServer& server) {

@@ -22,7 +22,6 @@
 
 #include "chaos/report.h"
 #include "chaos/schedule.h"
-#include "clocks/causal_core.h"
 #include "common/status.h"
 
 namespace cmom::chaos {
@@ -45,8 +44,6 @@ struct ChaosSoakOptions {
   // Pause between a producer's sends (0 = offer as fast as the
   // admission layer accepts).
   std::uint64_t producer_gap_us = 50;
-  // Causal-delivery core every domain runs under the storm.
-  clocks::CausalCoreKind causal_core = clocks::CausalCoreKind::kMatrix;
   // When non-empty, the report is also written here as JSON.
   std::string report_path;
 };

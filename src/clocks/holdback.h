@@ -27,7 +27,8 @@ class HoldbackQueue {
   [[nodiscard]] bool empty() const { return pending_.empty(); }
 
   // Repeatedly scans the queue, delivering every message whose check
-  // passes, until a whole pass makes no progress.  Duplicates are
+  // passes, until a whole pass makes no progress.  Duplicates (and
+  // malformed messages, which owners reject before queueing) are
   // dropped, passing through `drop` so an owner keeping an external
   // index (or a per-entry durable image) of the queue can stay in sync.
   // Returns the number of messages delivered.
@@ -48,7 +49,8 @@ class HoldbackQueue {
             progressed = true;
             break;
           }
-          case CheckResult::kDuplicate: {
+          case CheckResult::kDuplicate:
+          case CheckResult::kMalformed: {
             M message = std::move(*it);
             it = pending_.erase(it);
             drop(std::move(message));

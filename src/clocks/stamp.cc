@@ -36,6 +36,11 @@ Result<Stamp> Stamp::Decode(ByteReader& in) {
     if (!col.ok()) return col.status();
     auto value = in.ReadVarU64();
     if (!value.ok()) return value.status();
+    // Domain-local ids are 16-bit; a wider coordinate is corruption,
+    // not an id to truncate.
+    if (row.value() > 0xFFFF || col.value() > 0xFFFF) {
+      return Status::DataLoss("stamp coordinate exceeds 16 bits");
+    }
     stamp.entries.push_back(StampEntry{
         DomainServerId(static_cast<std::uint16_t>(row.value())),
         DomainServerId(static_cast<std::uint16_t>(col.value())),

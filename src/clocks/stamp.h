@@ -29,6 +29,8 @@ enum class CheckResult : std::uint8_t {
   kDeliver,    // all causal predecessors delivered; deliver now
   kHold,       // some predecessor missing; park in the hold-back queue
   kDuplicate,  // already delivered (retransmission); drop
+  kMalformed,  // names a member outside the domain or lacks its own
+               // send counter; drop unread and unacknowledged
 };
 
 struct StampEntry {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -225,10 +224,10 @@ Status Coordinator::CutoverStore(mom::Store& store, ServerId self,
     }
   }
 
-  // Decode the old causal-core images (any kind), indexed by old
-  // deployment index (= position in old_config.domains;
-  // Deployment::Create resolves domains in configuration order).
-  std::map<std::size_t, std::unique_ptr<clocks::CausalCore>> old_cores;
+  // Decode the old clock images, indexed by old deployment index (=
+  // position in old_config.domains; Deployment::Create resolves
+  // domains in configuration order).
+  std::map<std::size_t, clocks::MatrixClockCore> old_cores;
   std::vector<std::string> old_keys = store.Keys(mom::kClockKeyPrefix);
   for (const std::string& key : old_keys) {
     auto index = mom::ParseHexSuffix(key, mom::kClockKeyPrefix);
@@ -237,7 +236,7 @@ Status Coordinator::CutoverStore(mom::Store& store, ServerId self,
     if (!blob.has_value()) {
       return Status::DataLoss("clock key vanished mid-read: " + key);
     }
-    auto core = clocks::DecodeCausalCoreState(*blob);
+    auto core = clocks::MatrixClockCore::Decode(*blob);
     if (!core.ok()) return core.status();
     old_cores.emplace(index.value(), std::move(core).value());
   }
@@ -251,31 +250,22 @@ Status Coordinator::CutoverStore(mom::Store& store, ServerId self,
     const DomainServerId new_local(
         static_cast<std::uint16_t>(member - spec.members.begin()));
     const DomainRemap& remap = plan.remaps[j];
-    const clocks::CausalCoreKind kind = plan.new_config.CoreFor(spec.id);
-    std::unique_ptr<clocks::CausalCore> core;
-    if (remap.old_index.has_value() &&
-        old_cores.count(*remap.old_index) != 0) {
-      // Surviving domain this server was already in: inherit, with
-      // members permuted through the plan's coordinate map.  The plan
-      // guarantees the kind did not change across the epoch.
-      const clocks::CausalCore& old_core = *old_cores.at(*remap.old_index);
-      if (old_core.kind() != kind) {
-        return Status::FailedPrecondition(
-            to_string(self) + "'s store holds a " +
-            std::string(clocks::CausalCoreKindName(old_core.kind())) +
-            " core for " + to_string(spec.id) + ", new epoch expects " +
-            std::string(clocks::CausalCoreKindName(kind)));
-      }
-      core = old_core.Remap(new_local, spec.members.size(), remap.old_of_new);
-    } else {
-      // Brand-new domain, or this server just joined it: fresh zeros,
-      // matching what the surviving members record for the newcomer's
-      // rows and columns.
-      core = clocks::MakeCausalCore(kind, new_local, spec.members.size(),
-                                    plan.new_config.stamp_mode);
-    }
+    auto old_core = remap.old_index.has_value()
+                        ? old_cores.find(*remap.old_index)
+                        : old_cores.end();
+    // Surviving domain this server was already in: inherit, with
+    // members permuted through the plan's coordinate map.  Otherwise
+    // (brand-new domain, or this server just joined it): fresh zeros,
+    // matching what the surviving members record for the newcomer's
+    // rows and columns.
+    const clocks::MatrixClockCore core =
+        old_core != old_cores.end()
+            ? old_core->second.Remap(new_local, spec.members.size(),
+                                     remap.old_of_new)
+            : clocks::MatrixClockCore(new_local, spec.members.size(),
+                                      plan.new_config.stamp_mode);
     ByteWriter out;
-    core->EncodeState(out);
+    core.EncodeState(out);
     store.Put(mom::ClockKey(j), std::move(out).Take());
   }
   store.Put(kEpochCurrentKey,

@@ -38,24 +38,6 @@ Result<ReconfigPlan> ReconfigPlan::Build(std::uint64_t from_epoch,
     return Status::InvalidArgument(
         "stamp mode cannot change across an epoch");
   }
-  // A domain surviving into the new epoch must keep its causal core:
-  // the cutover remaps durable core state within one representation, it
-  // does not translate between them.  (Domains NEW in this epoch may
-  // use any kind -- they start from fresh cores.)
-  for (const domains::DomainSpec& spec : new_config.domains) {
-    bool survives = false;
-    for (const domains::DomainSpec& old_spec : old_config.domains) {
-      if (old_spec.id == spec.id) {
-        survives = true;
-        break;
-      }
-    }
-    if (survives && new_config.CoreFor(spec.id) != old_config.CoreFor(spec.id)) {
-      return Status::InvalidArgument(
-          "causal core of " + to_string(spec.id) +
-          " cannot change across an epoch");
-    }
-  }
   // The full boot-time validation -- well-formedness, routable server
   // graph, and the Section 4.3 acyclicity precondition.  Rejecting here
   // is what keeps a bad proposal from ever touching a store.
@@ -185,16 +167,6 @@ Result<domains::MomConfig> SplitDomain(const domains::MomConfig& config,
     }
     parts.push_back(std::move(part));
   }
-  // The split-off halves inherit the split domain's effective causal
-  // core: splitting must never silently change the causal algorithm a
-  // member runs.  (An override equal to the global default would be
-  // redundant, so only a differing kind is recorded.)
-  const clocks::CausalCoreKind kind = config.CoreFor(domain);
-  if (kind != out.causal_core) {
-    for (std::size_t d = 1; d < parts.size(); ++d) {
-      out.causal_core_overrides.emplace_back(parts[d].id, kind);
-    }
-  }
   auto it = std::find_if(
       out.domains.begin(), out.domains.end(),
       [&](const domains::DomainSpec& spec) { return spec.id == domain; });
@@ -213,24 +185,12 @@ Result<domains::MomConfig> MergeDomains(const domains::MomConfig& config,
     return Status::NotFound("merge needs both " + to_string(a) + " and " +
                             to_string(b));
   }
-  if (config.CoreFor(a) != config.CoreFor(b)) {
-    return Status::FailedPrecondition(
-        "cannot merge " + to_string(b) + " (" +
-        std::string(clocks::CausalCoreKindName(config.CoreFor(b))) +
-        " core) into " + to_string(a) + " (" +
-        std::string(clocks::CausalCoreKindName(config.CoreFor(a))) +
-        " core)");
-  }
   for (ServerId member : from->members) {
     if (!IsMember(*into, member)) into->members.push_back(member);
   }
   out.domains.erase(std::find_if(
       out.domains.begin(), out.domains.end(),
       [&](const domains::DomainSpec& spec) { return spec.id == b; }));
-  // Drop the vanished domain's core override, if any: Deployment
-  // validation rejects overrides naming unknown domains.
-  std::erase_if(out.causal_core_overrides,
-                [&](const auto& entry) { return entry.first == b; });
   return out;
 }
 

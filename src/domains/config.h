@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "clocks/causal_core.h"
@@ -28,26 +27,18 @@ struct MomConfig {
   // All agent servers of the MOM.  ServerIds need not be contiguous.
   std::vector<ServerId> servers;
   std::vector<DomainSpec> domains;
-  // Stamping algorithm: classical full matrix or Appendix-A updates.
-  // Only meaningful for domains running the matrix causal core.
+  // Stamping algorithm of every domain's matrix clock: classical full
+  // matrix or Appendix-A updates.
   clocks::StampMode stamp_mode = clocks::StampMode::kUpdates;
-  // Causal-delivery core (clocks/causal_core.h) used by every domain
-  // unless overridden per domain below.
-  clocks::CausalCoreKind causal_core = clocks::CausalCoreKind::kMatrix;
-  // Per-domain core overrides, in declaration order.
-  std::vector<std::pair<DomainId, clocks::CausalCoreKind>>
-      causal_core_overrides;
   // The theorem demo deliberately builds a cyclic domain graph; every
   // production configuration must keep this false so that Deployment
   // validation rejects cycles.
   bool allow_cyclic_domain_graph = false;
 
-  // Effective core kind for one domain.
-  [[nodiscard]] clocks::CausalCoreKind CoreFor(DomainId id) const {
-    for (const auto& [domain, kind] : causal_core_overrides) {
-      if (domain == id) return kind;
-    }
-    return causal_core;
+  // Part of the clocks::MakeCausalCore seam: every domain runs the
+  // matrix clock.
+  [[nodiscard]] clocks::CausalCoreKind CoreFor(DomainId /*id*/) const {
+    return clocks::CausalCoreKind::kMatrix;
   }
 };
 

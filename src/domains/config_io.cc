@@ -42,6 +42,19 @@ Result<std::uint64_t> ParseUnsigned(const std::string& token) {
   return value;
 }
 
+// Server and domain ids are 16-bit on the wire and in the store.
+constexpr std::uint64_t kMaxId = 0xFFFF;
+
+Result<std::uint16_t> ParseId(const std::string& token) {
+  auto value = ParseUnsigned(token);
+  if (!value.ok()) return value.status();
+  if (value.value() > kMaxId) {
+    return Status::InvalidArgument("id " + token + " exceeds " +
+                                   std::to_string(kMaxId));
+  }
+  return static_cast<std::uint16_t>(value.value());
+}
+
 Result<double> ParseDouble(const std::string& token) {
   try {
     std::size_t consumed = 0;
@@ -88,30 +101,32 @@ Result<MomConfig> ParseMomConfig(std::string_view text) {
       if (tokens.size() == 3) {
         auto count = ParseUnsigned(tokens[2]);
         if (!count.ok()) return error(count.status().message());
+        if (count.value() > kMaxId + 1) {
+          return error("server count " + tokens[2] + " exceeds " +
+                       std::to_string(kMaxId + 1));
+        }
         for (std::uint64_t i = 0; i < count.value(); ++i) {
           config.servers.push_back(
               ServerId(static_cast<std::uint16_t>(i)));
         }
       } else {
         for (std::size_t t = 2; t < tokens.size(); ++t) {
-          auto id = ParseUnsigned(tokens[t]);
+          auto id = ParseId(tokens[t]);
           if (!id.ok()) return error(id.status().message());
-          config.servers.push_back(
-              ServerId(static_cast<std::uint16_t>(id.value())));
+          config.servers.push_back(ServerId(id.value()));
         }
       }
     } else if (tokens[0] == "domain") {
       if (tokens.size() < 4 || tokens[2] != "=") {
         return error("expected 'domain <id> = <member list>'");
       }
-      auto id = ParseUnsigned(tokens[1]);
+      auto id = ParseId(tokens[1]);
       if (!id.ok()) return error(id.status().message());
-      DomainSpec domain{DomainId(static_cast<std::uint16_t>(id.value())), {}};
+      DomainSpec domain{DomainId(id.value()), {}};
       for (std::size_t t = 3; t < tokens.size(); ++t) {
-        auto member = ParseUnsigned(tokens[t]);
+        auto member = ParseId(tokens[t]);
         if (!member.ok()) return error(member.status().message());
-        domain.members.push_back(
-            ServerId(static_cast<std::uint16_t>(member.value())));
+        domain.members.push_back(ServerId(member.value()));
       }
       config.domains.push_back(std::move(domain));
     } else if (tokens[0] == "stamp_mode") {
@@ -124,35 +139,6 @@ Result<MomConfig> ParseMomConfig(std::string_view text) {
         config.stamp_mode = clocks::StampMode::kFullMatrix;
       } else {
         return error("unknown stamp mode '" + tokens[2] + "'");
-      }
-    } else if (tokens[0] == "causal_core") {
-      // 'causal_core = <kind>' sets the MOM-wide default;
-      // 'causal_core <domain> = <kind>' overrides one domain.
-      if (tokens.size() == 3 && tokens[1] == "=") {
-        auto kind = clocks::ParseCausalCoreKind(tokens[2]);
-        if (!kind.has_value()) {
-          return error("unknown causal core '" + tokens[2] + "'");
-        }
-        config.causal_core = *kind;
-      } else if (tokens.size() == 4 && tokens[2] == "=") {
-        auto id = ParseUnsigned(tokens[1]);
-        if (!id.ok()) return error(id.status().message());
-        auto kind = clocks::ParseCausalCoreKind(tokens[3]);
-        if (!kind.has_value()) {
-          return error("unknown causal core '" + tokens[3] + "'");
-        }
-        const DomainId domain(static_cast<std::uint16_t>(id.value()));
-        for (const auto& [existing, _] : config.causal_core_overrides) {
-          if (existing == domain) {
-            return error("duplicate causal_core override for domain " +
-                         tokens[1]);
-          }
-        }
-        config.causal_core_overrides.emplace_back(domain, *kind);
-      } else {
-        return error(
-            "expected 'causal_core = <kind>' or 'causal_core <domain> = "
-            "<kind>' with kind matrix|hybrid");
       }
     } else if (tokens[0] == "allow_cyclic") {
       if (tokens.size() != 3 || tokens[1] != "=") {
@@ -196,19 +182,11 @@ std::string FormatMomConfig(const MomConfig& config) {
       << (config.stamp_mode == clocks::StampMode::kUpdates ? "updates"
                                                            : "full")
       << "\n";
-  if (config.causal_core != clocks::CausalCoreKind::kMatrix) {
-    out << "causal_core = " << clocks::CausalCoreKindName(config.causal_core)
-        << "\n";
-  }
   if (config.allow_cyclic_domain_graph) out << "allow_cyclic = true\n";
   for (const DomainSpec& domain : config.domains) {
     out << "domain " << domain.id.value() << " =";
     for (ServerId member : domain.members) out << " " << member.value();
     out << "\n";
-  }
-  for (const auto& [domain, kind] : config.causal_core_overrides) {
-    out << "causal_core " << domain.value() << " = "
-        << clocks::CausalCoreKindName(kind) << "\n";
   }
   return out.str();
 }

@@ -54,14 +54,6 @@ Result<Deployment> Deployment::Create(MomConfig config) {
     }
   }
 
-  for (const auto& [domain, kind] : config.causal_core_overrides) {
-    if (!domain_ids.contains(domain)) {
-      return Status::InvalidArgument("causal_core override for unknown " +
-                                     to_string(domain));
-    }
-    (void)kind;
-  }
-
   Deployment deployment;
   deployment.config_ = std::move(config);
   for (std::size_t d = 0; d < deployment.config_.domains.size(); ++d) {

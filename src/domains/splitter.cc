@@ -4,7 +4,6 @@
 #include <cassert>
 #include <numeric>
 
-#include "clocks/causal_core.h"
 #include "domains/deployment.h"
 
 namespace cmom::domains {
@@ -225,14 +224,8 @@ Result<double> CostEstimator::Estimate(const MomConfig& config,
         const ServerId hop = d.routing().NextHop(at, dest);
         auto link = d.LinkDomainIndex(at, hop);
         if (!link.ok()) return link.status();
-        const ResolvedDomain& domain = d.domain(link.value());
-        // Stamp cost depends on the causal core the hop's domain runs:
-        // s^2 entries for the matrix baseline, O(1) for hybrid
-        // buffering (see clocks::CausalCoreStampCost).
-        const double stamp_entries = static_cast<double>(
-            clocks::CausalCoreStampCost(config.CoreFor(domain.id),
-                                        domain.size()));
-        route_cost += params.per_hop_fixed + params.per_entry * stamp_entries;
+        const double s = static_cast<double>(d.domain(link.value()).size());
+        route_cost += params.per_hop_fixed + params.per_entry * s * s;
         at = hop;
       }
       total += weight * route_cost;

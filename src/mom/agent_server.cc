@@ -122,21 +122,32 @@ Status AgentServer::Boot() {
     std::unique_lock lock(mutex_);
     if (booted_) return Status::FailedPrecondition("already booted");
 
-    // Build one DomainItem per domain membership (fresh cores of the
-    // configured kind); the recovery below overwrites them from the
-    // durable image if any.
+    // A store the control plane has stamped must agree with the epoch
+    // we were constructed for: booting epoch-E clocks under an epoch-F
+    // deployment would reinterpret matrix coordinates.  Checked before
+    // recovery reads (or writes) anything.  Stores from before the
+    // control plane (no record) pass vacuously.
+    if (auto record = store_->Get(kEpochCurrentKey)) {
+      ByteReader in(*record);
+      auto stored = in.ReadVarU64();
+      if (!stored.ok()) return stored.status();
+      if (stored.value() != options_.epoch) {
+        return Status::FailedPrecondition(
+            "store is at epoch " + std::to_string(stored.value()) +
+            " but server boots at epoch " + std::to_string(options_.epoch));
+      }
+    }
+
+    // Build one DomainItem per domain membership (fresh clocks); the
+    // recovery below overwrites them from the durable image if any.
     for (std::size_t index : deployment_->DomainIndicesOf(self_)) {
       const domains::ResolvedDomain& domain = deployment_->domain(index);
       auto local = domain.LocalId(self_);
       assert(local.has_value());
-      DomainItem item;
-      item.deployment_index = index;
-      item.id = domain.id;
-      item.self_local = *local;
-      item.core = clocks::MakeCausalCore(
-          deployment_->config().CoreFor(domain.id), *local, domain.size(),
-          deployment_->config().stamp_mode);
-      items_.push_back(std::move(item));
+      items_.emplace_back(index, domain.id,
+                          clocks::MatrixClockCore(
+                              *local, domain.size(),
+                              deployment_->config().stamp_mode));
     }
 
     CMOM_RETURN_IF_ERROR(RecoverLocked());
@@ -147,21 +158,6 @@ Status AgentServer::Boot() {
       std::uint64_t seq = 0;
       if (flow::ParseDeadLetterKey(key, seq)) {
         next_dlq_seq_ = std::max(next_dlq_seq_, seq + 1);
-      }
-    }
-
-    // A store the control plane has stamped must agree with the epoch
-    // we were constructed for: booting epoch-E clocks under an epoch-F
-    // deployment would reinterpret matrix coordinates.  Stores from
-    // before the control plane (no record) pass vacuously.
-    if (auto record = store_->Get(kEpochCurrentKey)) {
-      ByteReader in(*record);
-      auto stored = in.ReadVarU64();
-      if (!stored.ok()) return stored.status();
-      if (stored.value() != options_.epoch) {
-        return Status::FailedPrecondition(
-            "store is at epoch " + std::to_string(stored.value()) +
-            " but server boots at epoch " + std::to_string(options_.epoch));
       }
     }
 
@@ -405,12 +401,14 @@ std::size_t AgentServer::ProcessDataFrame(ServerId from, DataFrame frame) {
                      << " not in " << to_string(frame.domain);
     return 0;
   }
-  if (frame.core_tag != static_cast<std::uint8_t>(item->core->kind())) {
-    // The stamp was produced by a different causal core: its entries
-    // mean nothing to ours.  Dropped without an ack, like an epoch
-    // straggler -- a correctly configured sender retransmits with the
-    // matching core.
-    ++stats_.core_fenced_frames;
+  const clocks::CheckResult verdict =
+      item->core.CheckReceive(*src_local, frame.stamp);
+  if (verdict == clocks::CheckResult::kMalformed) {
+    // The stamp names a member outside the domain or lacks the sender's
+    // own counter: a corrupt or hostile peer, not a retransmission to
+    // re-acknowledge.  Dropped unread and without an ack, before it can
+    // touch the flow-control session either.
+    ++stats_.malformed_frames;
     return 0;
   }
 
@@ -432,11 +430,11 @@ std::size_t AgentServer::ProcessDataFrame(ServerId from, DataFrame frame) {
 
   const MessageId message_id = frame.message.id;
   std::size_t entries = 0;
-  switch (item->core->CheckReceive(*src_local, frame.stamp)) {
+  switch (verdict) {
     case clocks::CheckResult::kDeliver: {
       if (counts_for_credit) ReceiverLink(from).Accept();
       entries += frame.stamp.entries.size();
-      item->core->OnDeliver(*src_local, frame.stamp);
+      item->core.OnDeliver(*src_local, frame.stamp);
       entries += CommitDelivery(*item, *src_local, std::move(frame));
       entries += DrainHoldback(*item);
       commit_needed_ = true;
@@ -467,6 +465,8 @@ std::size_t AgentServer::ProcessDataFrame(ServerId from, DataFrame frame) {
       ++stats_.duplicates_dropped;
       break;  // already durable; just re-acknowledge
     }
+    case clocks::CheckResult::kMalformed:
+      return 0;  // rejected above
   }
   if (options_.flow.enabled) {
     stats_.backlog_peak =
@@ -480,14 +480,14 @@ std::size_t AgentServer::DrainHoldback(DomainItem& item) {
   std::size_t entries = 0;
   item.holdback.DrainDeliverable(
       [&](const HeldFrame& held) {
-        return item.core->CheckReceive(held.src_local, held.frame.stamp);
+        return item.core.CheckReceive(held.src_local, held.frame.stamp);
       },
       [&](HeldFrame&& held) {
         const MessageId id = held.frame.message.id;
         item.held_ids.erase(id);
         EraseHeldFrame(item, id);
         entries += held.frame.stamp.entries.size();
-        item.core->OnDeliver(held.src_local, held.frame.stamp);
+        item.core.OnDeliver(held.src_local, held.frame.stamp);
         entries += CommitDelivery(item, held.src_local, std::move(held.frame));
       },
       [&](HeldFrame&& dropped) {
@@ -771,7 +771,7 @@ std::size_t AgentServer::StampAndEnqueue(Message message) {
   entry.message = std::move(message);
   entry.next_hop = hop;
   entry.domain = item->id;
-  entry.stamp = item->core->PrepareSend(*hop_local);
+  entry.stamp = item->core.PrepareSend(*hop_local);
   entry.enqueue_seq = next_out_enqueue_seq_++;
   const std::size_t entries = entry.stamp.entries.size();
   const std::size_t stamp_bytes = entry.stamp.EncodedSize();
@@ -817,7 +817,7 @@ void AgentServer::EmitFrame(ServerId to, Bytes bytes) {
 
 void AgentServer::EmitOutEntry(OutEntry& entry) {
   DataFrame frame{entry.message, entry.domain, entry.stamp, options_.epoch,
-                  incarnation_, CoreTagFor(entry.domain)};
+                  incarnation_};
   EmitFrame(entry.next_hop, frame.Serialize());
   ScheduleRetransmit(entry);
 }
@@ -1211,13 +1211,13 @@ void AgentServer::PersistMeta() {
 
 void AgentServer::PersistClocks(bool force) {
   for (DomainItem& item : items_) {
-    if (!force && item.persisted_clock_version == item.core->version()) {
+    if (!force && item.persisted_clock_version == item.core.version()) {
       continue;
     }
     ByteWriter out;
-    item.core->EncodeState(out);
+    item.core.EncodeState(out);
     StorePut(ClockKey(item.deployment_index), std::move(out).Take());
-    item.persisted_clock_version = item.core->version();
+    item.persisted_clock_version = item.core.version();
   }
 }
 
@@ -1398,24 +1398,21 @@ Status AgentServer::RecoverEntriesLocked() {
     if (!index.ok()) return index.status();
     auto blob = store_->Get(key);
     if (!blob) continue;
-    auto core = clocks::DecodeCausalCoreState(*blob);
+    auto core = clocks::MatrixClockCore::Decode(*blob);
     if (!core.ok()) return core.status();
     bool found = false;
     for (DomainItem& item : items_) {
       if (item.deployment_index == index.value()) {
-        // The store's core kind must agree with the configured one: a
-        // hybrid image decoded as matrix coordinates (or vice versa)
-        // would silently break causal recovery.  Switching a domain's
-        // core requires an epoch cutover, which rewrites clk/ records.
-        if (core.value()->kind() != item.core->kind()) {
-          return Status::FailedPrecondition(
-              "store holds a " +
-              std::string(clocks::CausalCoreKindName(core.value()->kind())) +
-              " core for " + to_string(item.id) + " but the config runs " +
-              std::string(clocks::CausalCoreKindName(item.core->kind())));
+        // The image must be this server's clock of this domain: a
+        // foreign self id or size would index past the matrix on the
+        // next send.
+        if (core.value().self() != item.core.self() ||
+            core.value().domain_size() != item.core.domain_size()) {
+          return Status::DataLoss("clock image does not fit " +
+                                  to_string(item.id));
         }
         item.core = std::move(core).value();
-        item.persisted_clock_version = item.core->version();
+        item.persisted_clock_version = item.core.version();
         found = true;
         break;
       }
@@ -1529,6 +1526,14 @@ Status AgentServer::RecoverEntriesLocked() {
     }
     if (owner == nullptr) {
       return Status::DataLoss("held frame for unknown domain");
+    }
+    // The wire check, repeated on the way back in: a held frame whose
+    // stamp the clock cannot read is a corrupt store, not a frame to
+    // drop quietly.
+    if (owner->core.CheckReceive(DomainServerId(src.value()),
+                                 frame.value().stamp) ==
+        clocks::CheckResult::kMalformed) {
+      return Status::DataLoss("held frame with a malformed stamp");
     }
     holds.push_back(RecoveredHold{seq.value(), owner,
                                   HeldFrame{DomainServerId(src.value()),
@@ -1691,29 +1696,18 @@ std::optional<Bytes> AgentServer::ReadControlRecord(std::string_view key) {
   return read.get();
 }
 
-std::unique_ptr<clocks::CausalCore> AgentServer::CoreSnapshot(
+std::optional<clocks::MatrixClockCore> AgentServer::CoreSnapshot(
     std::size_t deployment_domain_index) const {
   std::lock_guard lock(mutex_);
   for (const DomainItem& item : items_) {
     if (item.deployment_index != deployment_domain_index) continue;
     ByteWriter out;
-    item.core->EncodeState(out);
-    auto core = clocks::DecodeCausalCoreState(out.buffer());
+    item.core.EncodeState(out);
+    auto core = clocks::MatrixClockCore::Decode(out.buffer());
     assert(core.ok());
     return std::move(core).value();
   }
-  return nullptr;
-}
-
-std::vector<std::pair<DomainId, clocks::CausalCoreKind>>
-AgentServer::ActiveCores() const {
-  std::lock_guard lock(mutex_);
-  std::vector<std::pair<DomainId, clocks::CausalCoreKind>> cores;
-  cores.reserve(items_.size());
-  for (const DomainItem& item : items_) {
-    cores.emplace_back(item.id, item.core->kind());
-  }
-  return cores;
+  return std::nullopt;
 }
 
 Bytes AgentServer::DebugImage() const {
@@ -1723,7 +1717,7 @@ Bytes AgentServer::DebugImage() const {
   out.WriteVarU64(items_.size());
   for (const DomainItem& item : items_) {
     out.WriteVarU64(item.deployment_index);
-    item.core->EncodeState(out);
+    item.core.EncodeState(out);
   }
   out.WriteVarU64(queue_out_.size());
   for (const OutEntry& entry : queue_out_) {
@@ -1752,15 +1746,6 @@ AgentServer::DomainItem* AgentServer::FindItemByDomainId(DomainId id) {
     if (item.id == id) return &item;
   }
   return nullptr;
-}
-
-std::uint8_t AgentServer::CoreTagFor(DomainId domain) const {
-  for (const DomainItem& item : items_) {
-    if (item.id == domain) {
-      return static_cast<std::uint8_t>(item.core->kind());
-    }
-  }
-  return 0;
 }
 
 }  // namespace cmom::mom

@@ -151,10 +151,10 @@ struct ServerStats {
   // Data frames dropped (unacked) because their epoch differed from
   // this server's -- stragglers around a reconfiguration cutover.
   std::uint64_t epoch_fenced_frames = 0;
-  // Data frames dropped (unacked) because their causal-core tag did not
-  // match the receiving domain's active core: the stamp is encoded in a
-  // coordinate system this server does not run.
-  std::uint64_t core_fenced_frames = 0;
+  // Data frames dropped (unacked) because their stamp named a member
+  // outside the domain or lacked the sender's own send counter
+  // (CheckResult::kMalformed): a corrupt or hostile peer.
+  std::uint64_t malformed_frames = 0;
   // SendMessage calls rejected while an epoch fence was up.
   std::uint64_t fenced_sends_rejected = 0;
   // --- flow control (src/flow) ---------------------------------------
@@ -312,14 +312,9 @@ class AgentServer {
 
   // A copy of the causal core of deployment domain `index`, decoded
   // from its current image (tests / introspection; safe while the
-  // server runs).  Null when this server is not a member of it.
-  [[nodiscard]] std::unique_ptr<clocks::CausalCore> CoreSnapshot(
+  // server runs).  Empty when this server is not a member of it.
+  [[nodiscard]] std::optional<clocks::MatrixClockCore> CoreSnapshot(
       std::size_t deployment_domain_index) const;
-
-  // Active causal core per domain this server belongs to, in domain-
-  // item order (momtool's causal-core stats row).
-  [[nodiscard]] std::vector<std::pair<DomainId, clocks::CausalCoreKind>>
-  ActiveCores() const;
 
   // Canonical serialization of the volatile channel + engine image
   // (next message seq, clocks, QueueOUT, QueueIN, hold-back queues, in
@@ -336,17 +331,19 @@ class AgentServer {
   };
 
   struct DomainItem {
+    DomainItem(std::size_t index, DomainId domain,
+               clocks::MatrixClockCore clock)
+        : deployment_index(index), id(domain), core(std::move(clock)) {}
+
     std::size_t deployment_index = 0;
     DomainId id;
-    DomainServerId self_local;
-    // Causal-delivery core for this domain (clocks/causal_core.h); the
-    // kind comes from the deployment config (MomConfig::CoreFor).
-    std::unique_ptr<clocks::CausalCore> core;
+    // This server's matrix clock for the domain (clocks/causal_core.h).
+    clocks::MatrixClockCore core;
     clocks::HoldbackQueue<HeldFrame> holdback;
     // MessageId index over `holdback` (O(1) duplicate-held check and
     // per-entry key deletion); always in sync with the queue.
     std::unordered_set<MessageId> held_ids;
-    // core->version() at the last durable write; the core image is
+    // core.version() at the last durable write; the core image is
     // re-persisted only when the live version differs.
     std::uint64_t persisted_clock_version = 0;
   };
@@ -537,9 +534,6 @@ class AgentServer {
 
   // --- helpers ---------------------------------------------------------
   [[nodiscard]] DomainItem* FindItemByDomainId(DomainId id);
-  // Wire tag for frames stamped by `domain`'s core (0 for the matrix
-  // core, which is never written on the wire).  Caller holds mutex_.
-  [[nodiscard]] std::uint8_t CoreTagFor(DomainId domain) const;
   [[nodiscard]] Message MakeMessage(AgentId from, AgentId to,
                                     std::string subject, Bytes payload);
 

@@ -69,8 +69,6 @@ void DataFrame::SerializeInto(ByteWriter& out) const {
   out.WriteVarU64(epoch);
   stamp.Encode(out);
   out.WriteVarU64(incarnation);
-  // Optional trailer, absent for the matrix core (tag 0).
-  if (core_tag != 0) out.WriteVarU64(core_tag);
 }
 
 Bytes DataFrame::Serialize() const {
@@ -114,15 +112,6 @@ Result<DataFrame> DataFrame::Deserialize(std::span<const std::uint8_t> bytes) {
   frame.stamp = std::move(stamp).value();
   frame.epoch = epoch.value();
   frame.incarnation = incarnation.value();
-  if (!in.exhausted()) {
-    auto tag = in.ReadVarU64();
-    if (!tag.ok()) return tag.status();
-    // The matrix core's tag 0 is never written.
-    if (tag.value() == 0 || tag.value() > 0xFF) {
-      return Status::DataLoss("bad causal core tag");
-    }
-    frame.core_tag = static_cast<std::uint8_t>(tag.value());
-  }
   if (!in.exhausted()) return Status::DataLoss("trailing bytes in data frame");
   return frame;
 }

@@ -54,15 +54,8 @@ struct DataFrame {
   // every live server).  Flow control uses it to detect a restarted
   // sender whose credit admission count started over
   // (CreditReceiverLink::ObserveSession).  Always encoded, as a varint
-  // after the stamp.
+  // after the stamp; it ends the frame.
   std::uint64_t incarnation = 0;
-  // Causal core that produced the stamp (clocks::CausalCoreKind).  An
-  // optional trailer after the incarnation, written only for non-matrix
-  // cores: tag 0 (the matrix core) is never written, so matrix-core
-  // frames pay no byte for it.  Receivers fence frames whose tag
-  // differs from the domain's active core the same way epoch
-  // mismatches are fenced: drop without acking.
-  std::uint8_t core_tag = 0;
 
   friend bool operator==(const DataFrame&, const DataFrame&) = default;
 

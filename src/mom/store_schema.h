@@ -5,8 +5,8 @@
 //
 //   meta                      varint next message seq, varint boot
 //                             incarnation
-//   clk/<dom>                 causal-core image of deployment domain
-//                             <dom> (clocks::CausalCore::EncodeState)
+//   clk/<dom>                 matrix-clock image of deployment domain
+//                             <dom> (clocks::MatrixClockCore::EncodeState)
 //   qout/<origin><seq>        varint enqueue ticket, message, u16 next
 //                             hop, u16 domain, stamp
 //   qin/<seq>                 message

@@ -137,30 +137,24 @@ domains::MomConfig TwoDomainChain() {
   return config;
 }
 
-TEST(ScorerTest, HybridCoreIsCheaperThanMatrixOnTheSameShape) {
-  const domains::TrafficProfile traffic = [] {
-    domains::TrafficProfile t(5);
-    t.set(0, 4, 10.0);  // two hops through the router
-    t.set(1, 2, 5.0);   // intra-domain
-    return t;
-  }();
-
-  domains::MomConfig matrix = TwoDomainChain();
-  auto matrix_score = ScoreConfig(matrix, traffic);
-  ASSERT_TRUE(matrix_score.ok());
-
-  domains::MomConfig mixed = TwoDomainChain();
-  mixed.causal_core_overrides = {
-      {DomainId(0), clocks::CausalCoreKind::kHybrid},
-      {DomainId(1), clocks::CausalCoreKind::kHybrid}};
-  auto mixed_score = ScoreConfig(mixed, traffic);
-  ASSERT_TRUE(mixed_score.ok());
-
-  EXPECT_LT(mixed_score.value().clock_cost, matrix_score.value().clock_cost);
-  EXPECT_LT(mixed_score.value().stamp_rate, matrix_score.value().stamp_rate);
-  ScorerOptions options;
-  EXPECT_LT(mixed_score.value().Total(options),
-            matrix_score.value().Total(options));
+// Every hop is priced at the s^2 entries of its domain's full matrix
+// stamp: 0 -> 4 crosses both 3-server domains (9 + 9 entries), 1 -> 2
+// stays in D0 (9); the standing clock cost is 9 per domain.
+TEST(ScorerTest, StampRateIsSSquaredPerHop) {
+  domains::TrafficProfile traffic(5);
+  traffic.set(0, 4, 10.0);
+  traffic.set(1, 2, 5.0);
+  auto score = ScoreConfig(TwoDomainChain(), traffic);
+  ASSERT_TRUE(score.ok()) << score.status().to_string();
+  EXPECT_DOUBLE_EQ(score.value().stamp_rate, 10.0 * 18 + 5.0 * 9);
+  EXPECT_DOUBLE_EQ(score.value().clock_cost, 18.0);
+  EXPECT_DOUBLE_EQ(score.value().router_load, 10.0);
+  const ScorerOptions options;
+  EXPECT_DOUBLE_EQ(score.value().route_cost,
+                   10.0 * (2 * options.cost.per_hop_fixed +
+                           options.cost.per_entry * 18) +
+                       5.0 * (options.cost.per_hop_fixed +
+                              options.cost.per_entry * 9));
 }
 
 TEST(ScorerTest, TrafficOutsideTheConfigIsSkippedNotFatal) {
@@ -200,24 +194,20 @@ TEST(SplitterEdgeTest, ZeroTrafficProfileStillValidates) {
   EXPECT_EQ(config.value().servers.size(), 7u);
 }
 
-// Satellite regression: CostEstimator must price per-core, so turning a
-// domain hybrid strictly lowers the estimate (same topology, same
-// traffic) and never raises it.
-TEST(SplitterEdgeTest, CostEstimatorIsCoreAware) {
+// CostEstimator applies the same per-hop model as the scorer, so on
+// the same config and traffic the two agree exactly.
+TEST(SplitterEdgeTest, CostEstimatorMatchesTheScorerRouteCost) {
   domains::TrafficProfile traffic(5);
   traffic.set(0, 4, 10.0);
   traffic.set(3, 1, 4.0);
-
-  const domains::MomConfig matrix = TwoDomainChain();
-  auto matrix_cost = domains::CostEstimator::Estimate(matrix, traffic);
-  ASSERT_TRUE(matrix_cost.ok());
-
-  domains::MomConfig mixed = TwoDomainChain();
-  mixed.causal_core_overrides = {{DomainId(1),
-                                  clocks::CausalCoreKind::kHybrid}};
-  auto mixed_cost = domains::CostEstimator::Estimate(mixed, traffic);
-  ASSERT_TRUE(mixed_cost.ok());
-  EXPECT_LT(mixed_cost.value(), matrix_cost.value());
+  auto estimate = domains::CostEstimator::Estimate(TwoDomainChain(), traffic);
+  ASSERT_TRUE(estimate.ok());
+  auto score = ScoreConfig(TwoDomainChain(), traffic);
+  ASSERT_TRUE(score.ok());
+  EXPECT_DOUBLE_EQ(estimate.value(), score.value().route_cost);
+  const domains::CostParams params;
+  EXPECT_DOUBLE_EQ(estimate.value(),
+                   14.0 * (2 * params.per_hop_fixed + params.per_entry * 18));
 }
 
 // When every candidate scores worse than the bar the controller must

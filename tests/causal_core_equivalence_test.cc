@@ -1,12 +1,14 @@
-// Cross-core causal-equivalence property tests.
+// Cross-mode causal-equivalence property tests.
 //
-// Both causal cores implement *exact* causal delivery, so on an
-// identical arrival sequence they must make identical delivery
-// decisions -- same delivery order, exactly-once, and an empty
-// hold-back queue once every message has arrived.  The first suite
-// pins that directly against the cores over randomized schedules; the
-// second runs the full simulated middleware with each core selected
-// via MomConfig::causal_core and checks the end-to-end contract.
+// The causal core implements *exact* causal delivery in both stamp
+// modes, so on an identical arrival sequence full-matrix and Appendix-A
+// Updates stamps must make identical delivery decisions -- same
+// delivery order, exactly-once, and an empty hold-back queue once every
+// message has arrived.  The first suite pins that directly against the
+// cores over randomized schedules; the second runs the full simulated
+// middleware in each mode (MomConfig::stamp_mode) and checks the
+// end-to-end contract.  As in bench/causal_cores, "matrix" names the
+// full-stamp mode and "matrix_updates" the Appendix-A one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,15 +25,16 @@
 namespace cmom {
 namespace {
 
-using clocks::CausalCore;
-using clocks::CausalCoreKind;
-using clocks::CausalCoreKindName;
 using clocks::CheckResult;
-using clocks::MakeCausalCore;
+using clocks::MatrixClockCore;
 using clocks::Stamp;
 using clocks::StampMode;
 
-// xorshift64*: deterministic schedule source, identical across cores.
+const char* ModeName(StampMode mode) {
+  return mode == StampMode::kUpdates ? "matrix_updates" : "matrix";
+}
+
+// xorshift64*: deterministic schedule source, identical across modes.
 struct Rng {
   std::uint64_t state;
   std::uint64_t Next() {
@@ -59,18 +62,17 @@ DeliveryKey Key(std::uint16_t src, std::uint16_t dst, std::uint64_t seq) {
          (static_cast<DeliveryKey>(dst) << 32) | seq;
 }
 
-// Runs a deterministic random schedule over `n` nodes with the given
-// core and returns the global delivery order.  The schedule (which
-// link sends, which link's head is received next) depends only on the
-// seed, never on core state, so two cores see identical arrival
+// Runs a deterministic random schedule over `n` nodes in the given
+// stamp mode and returns the global delivery order.  The schedule
+// (which link sends, which link's head is received next) depends only
+// on the seed, never on core state, so both modes see identical arrival
 // sequences.
-std::vector<DeliveryKey> RunSchedule(CausalCoreKind kind, StampMode mode,
-                                     Pattern pattern, std::size_t n,
-                                     std::size_t messages,
+std::vector<DeliveryKey> RunSchedule(StampMode mode, Pattern pattern,
+                                     std::size_t n, std::size_t messages,
                                      std::uint64_t seed) {
-  std::vector<std::unique_ptr<CausalCore>> cores;
+  std::vector<MatrixClockCore> cores;
   for (std::uint16_t i = 0; i < n; ++i) {
-    cores.push_back(MakeCausalCore(kind, DomainServerId(i), n, mode));
+    cores.emplace_back(DomainServerId(i), n, mode);
   }
   std::vector<std::deque<SentMessage>> links(n * n);  // src * n + dst
   std::vector<std::deque<SentMessage>> holdback(n);
@@ -81,7 +83,7 @@ std::vector<DeliveryKey> RunSchedule(CausalCoreKind kind, StampMode mode,
   Rng rng{seed};
 
   auto deliver = [&](std::uint16_t dst, const SentMessage& m) {
-    cores[dst]->OnDeliver(DomainServerId(m.src), m.stamp);
+    cores[dst].OnDeliver(DomainServerId(m.src), m.stamp);
     order.push_back(Key(m.src, m.dst, m.seq));
   };
   auto drain_holdback = [&](std::uint16_t dst) {
@@ -91,7 +93,7 @@ std::vector<DeliveryKey> RunSchedule(CausalCoreKind kind, StampMode mode,
       for (std::size_t i = 0; i < holdback[dst].size(); ++i) {
         const SentMessage& m = holdback[dst][i];
         const CheckResult verdict =
-            cores[dst]->CheckReceive(DomainServerId(m.src), m.stamp);
+            cores[dst].CheckReceive(DomainServerId(m.src), m.stamp);
         EXPECT_NE(verdict, CheckResult::kDuplicate);
         if (verdict != CheckResult::kDeliver) continue;
         deliver(dst, m);
@@ -107,7 +109,7 @@ std::vector<DeliveryKey> RunSchedule(CausalCoreKind kind, StampMode mode,
     --in_flight;
     const std::uint16_t dst = m.dst;
     const CheckResult verdict =
-        cores[dst]->CheckReceive(DomainServerId(m.src), m.stamp);
+        cores[dst].CheckReceive(DomainServerId(m.src), m.stamp);
     EXPECT_NE(verdict, CheckResult::kDuplicate);
     if (verdict == CheckResult::kDeliver) {
       deliver(dst, m);
@@ -130,7 +132,7 @@ std::vector<DeliveryKey> RunSchedule(CausalCoreKind kind, StampMode mode,
     m.src = src;
     m.dst = dst;
     m.seq = ++sent_seq[src * n + dst];
-    m.stamp = cores[src]->PrepareSend(DomainServerId(dst));
+    m.stamp = cores[src].PrepareSend(DomainServerId(dst));
     links[src * n + dst].push_back(std::move(m));
     ++sent;
     ++in_flight;
@@ -139,7 +141,7 @@ std::vector<DeliveryKey> RunSchedule(CausalCoreKind kind, StampMode mode,
   // `in_flight` counts messages sitting in links (sent, not yet
   // received), so the whole schedule -- who sends, which link head is
   // received next -- is a pure function of the seed, independent of
-  // any core's verdicts.  A divergent (buggy) core therefore still
+  // any core's verdicts.  A divergent (buggy) mode therefore still
   // sees the exact reference arrival sequence.
   constexpr std::size_t kMaxInFlight = 24;
   while (sent < messages || in_flight > 0) {
@@ -162,7 +164,7 @@ std::vector<DeliveryKey> RunSchedule(CausalCoreKind kind, StampMode mode,
   // cannot leave anything parked.
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_TRUE(holdback[i].empty())
-        << CausalCoreKindName(kind) << ": node " << i << " leaked "
+        << ModeName(mode) << ": node " << i << " leaked "
         << holdback[i].size() << " held-back messages";
   }
   EXPECT_EQ(order.size(), messages);
@@ -177,9 +179,8 @@ TEST_P(CausalCoreEquivalence, AllCoresAgreeOnDeliveryOrder) {
   const auto& [n, seed, pattern] = GetParam();
   const std::size_t messages = 60 * n;
 
-  const auto reference = RunSchedule(
-      CausalCoreKind::kMatrix, StampMode::kFullMatrix, pattern, n, messages,
-      seed);
+  const auto reference =
+      RunSchedule(StampMode::kFullMatrix, pattern, n, messages, seed);
   ASSERT_EQ(reference.size(), messages);
 
   // Exactly-once: every (src, dst, seq) appears exactly once.
@@ -189,20 +190,9 @@ TEST_P(CausalCoreEquivalence, AllCoresAgreeOnDeliveryOrder) {
     EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
   }
 
-  const struct {
-    CausalCoreKind kind;
-    StampMode mode;
-    const char* name;
-  } contenders[] = {
-      {CausalCoreKind::kMatrix, StampMode::kUpdates, "matrix_updates"},
-      {CausalCoreKind::kHybrid, StampMode::kUpdates, "hybrid"},
-  };
-  for (const auto& c : contenders) {
-    const auto order =
-        RunSchedule(c.kind, c.mode, pattern, n, messages, seed);
-    EXPECT_EQ(order, reference) << c.name
-                                << " diverged from the full-matrix core";
-  }
+  const auto order =
+      RunSchedule(StampMode::kUpdates, pattern, n, messages, seed);
+  EXPECT_EQ(order, reference) << "Updates stamps diverged from full ones";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -219,19 +209,18 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// End-to-end: the full simulated middleware with each core selected via
-// the config keeps the reliability contract -- causal, exactly-once,
-// quiescent -- over randomized chatter on flat and multi-domain
-// topologies.
+// End-to-end: the full simulated middleware in each stamp mode keeps
+// the reliability contract -- causal, exactly-once, quiescent -- over
+// randomized chatter on flat and multi-domain topologies.
 class CausalCoreSimTraffic
     : public ::testing::TestWithParam<
-          std::tuple<CausalCoreKind, bool, std::uint64_t>> {};
+          std::tuple<StampMode, bool, std::uint64_t>> {};
 
 TEST_P(CausalCoreSimTraffic, CausalExactlyOnceQuiescent) {
-  const auto& [kind, multi_domain, seed] = GetParam();
+  const auto& [mode, multi_domain, seed] = GetParam();
   auto config = multi_domain ? domains::topologies::Bus(3, 3)
                              : domains::topologies::Flat(6);
-  config.causal_core = kind;
+  config.stamp_mode = mode;
 
   workload::SimHarnessOptions options;
   options.simulate_processing_costs = false;
@@ -259,7 +248,7 @@ TEST_P(CausalCoreSimTraffic, CausalExactlyOnceQuiescent) {
   const causality::Trace trace = harness.trace().Snapshot();
   auto report = checker.CheckCausalDelivery(trace);
   EXPECT_TRUE(report.causal())
-      << CausalCoreKindName(kind) << " seed " << seed << ": "
+      << ModeName(mode) << " seed " << seed << ": "
       << report.violations.front().description;
   EXPECT_TRUE(checker.CheckExactlyOnce(trace).ok());
   EXPECT_TRUE(harness.CheckQuiescent().ok());
@@ -269,52 +258,14 @@ TEST_P(CausalCoreSimTraffic, CausalExactlyOnceQuiescent) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, CausalCoreSimTraffic,
-    ::testing::Combine(::testing::Values(CausalCoreKind::kMatrix,
-                                         CausalCoreKind::kHybrid),
+    ::testing::Combine(::testing::Values(StampMode::kFullMatrix,
+                                         StampMode::kUpdates),
                        ::testing::Bool(), ::testing::Values(1, 2, 3)),
     [](const auto& info) {
-      return std::string(CausalCoreKindName(std::get<0>(info.param))) +
+      return std::string(ModeName(std::get<0>(info.param))) +
              (std::get<1>(info.param) ? "_bus" : "_flat") + "_seed" +
              std::to_string(std::get<2>(info.param));
     });
-
-// Mixed deployment: different domains running different cores in the
-// same config (per-domain overrides) still satisfy the global
-// end-to-end contract.
-TEST(CausalCoreSimTraffic, MixedCoresAcrossDomains) {
-  auto config = domains::topologies::Bus(3, 3);
-  config.causal_core = CausalCoreKind::kMatrix;
-  ASSERT_GE(config.domains.size(), 2u);
-  config.causal_core_overrides.emplace_back(config.domains[0].id,
-                                            CausalCoreKind::kHybrid);
-
-  workload::SimHarnessOptions options;
-  options.simulate_processing_costs = false;
-  workload::SimHarness harness(config, options);
-  std::vector<AgentId> peers;
-  for (ServerId id : config.servers) peers.push_back(AgentId{id, 1});
-  ASSERT_TRUE(harness
-                  .Init([&](ServerId id, mom::AgentServer& server) {
-                    server.AttachAgent(
-                        1, std::make_unique<workload::ChatterAgent>(
-                               77 + id.value(), peers));
-                  })
-                  .ok());
-  ASSERT_TRUE(harness.BootAll().ok());
-  for (ServerId id : config.servers) {
-    ASSERT_TRUE(harness
-                    .Send(id, 1, id, 1, workload::kChat,
-                          workload::ChatterAgent::MakeChatPayload(5))
-                    .ok());
-  }
-  harness.Run();
-
-  auto checker = harness.MakeChecker();
-  const causality::Trace trace = harness.trace().Snapshot();
-  EXPECT_TRUE(checker.CheckCausalDelivery(trace).causal());
-  EXPECT_TRUE(checker.CheckExactlyOnce(trace).ok());
-  EXPECT_TRUE(harness.CheckQuiescent().ok());
-}
 
 }  // namespace
 }  // namespace cmom

@@ -1,12 +1,15 @@
-// Per-core crash recovery: every causal core's durable image must
-// survive a mid-traffic crash byte-identically -- including with the
-// hold-back queue populated and with commit failures injected by the
-// FaultyStore decorator -- and recovery must cross-check the stored
-// core kind against the configured one instead of misinterpreting the
-// bytes or accepting an image it cannot read exactly.
+// Causal-core crash recovery: the clock's durable image must survive a
+// mid-traffic crash byte-identically in both stamp modes -- including
+// with the hold-back queue populated and with commit failures injected
+// by the FaultyStore decorator -- and boot must refuse an image it
+// cannot read exactly (a retired core's kind, the parent format, a
+// trailing byte) instead of misinterpreting the bytes.  As in
+// bench/causal_cores, "matrix" names the full-stamp mode and
+// "matrix_updates" the Appendix-A one.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "causality/checker.h"
@@ -24,12 +27,15 @@
 namespace cmom {
 namespace {
 
-using clocks::CausalCoreKind;
-using clocks::CausalCoreKindName;
+using clocks::StampMode;
 using domains::topologies::Flat;
 using workload::SimHarness;
 using workload::SimHarnessOptions;
 using workload::SinkAgent;
+
+std::string ModeName(const ::testing::TestParamInfo<StampMode>& info) {
+  return info.param == StampMode::kUpdates ? "matrix_updates" : "matrix";
+}
 
 SimHarnessOptions FastOptions() {
   SimHarnessOptions options;
@@ -50,16 +56,15 @@ Status VerifyTrace(SimHarness& harness) {
 
 // The deterministic crash scenario from the persistence tests -- S1
 // crashes with a message held back and another unacknowledged -- run
-// with a chosen causal core.  Returns S1's volatile image right before
-// the crash and right after recovery.
+// in a chosen stamp mode.  Returns S1's volatile image right before the
+// crash and right after recovery.
 struct ScenarioResult {
   Bytes before;
   Bytes after;
 };
 
-ScenarioResult RunCrashScenario(CausalCoreKind kind) {
-  auto config = Flat(3);
-  config.causal_core = kind;
+ScenarioResult RunCrashScenario(StampMode mode) {
+  auto config = Flat(3, mode);
   SimHarness harness(config, FastOptions());
   auto install = [&](ServerId id, mom::AgentServer& server) {
     if (id == ServerId(1)) {
@@ -78,22 +83,22 @@ ScenarioResult RunCrashScenario(CausalCoreKind kind) {
   harness.RunUntil(50 * sim::kMillisecond);
 
   // The causally-later message is parked: the crash image includes a
-  // populated hold-back queue whatever the core.
+  // populated hold-back queue whatever the mode.
   EXPECT_EQ(harness.server(ServerId(1)).holdback_size(), 1u);
 
   ScenarioResult result;
   result.before = harness.server(ServerId(1)).DebugImage();
   harness.Crash(ServerId(1));
 
-  // Every durable clock record leads with its core's kind byte.
+  // Every durable clock record leads with the core's kind byte.
   const auto keys = harness.store(ServerId(1)).Keys("clk/");
   EXPECT_FALSE(keys.empty());
   for (const auto& key : keys) {
     const auto blob = harness.store(ServerId(1)).Get(key);
     EXPECT_TRUE(blob.has_value());
     if (!blob.has_value() || blob->empty()) continue;
-    EXPECT_EQ((*blob)[0], static_cast<std::uint8_t>(kind))
-        << CausalCoreKindName(kind) << " wrote the wrong record format";
+    EXPECT_EQ((*blob)[0], clocks::MatrixClockCore::kImageKind)
+        << "wrong record format";
   }
 
   EXPECT_TRUE(harness.Restart(ServerId(1)).ok());
@@ -105,7 +110,7 @@ ScenarioResult RunCrashScenario(CausalCoreKind kind) {
   return result;
 }
 
-class CausalCoreRecovery : public ::testing::TestWithParam<CausalCoreKind> {};
+class CausalCoreRecovery : public ::testing::TestWithParam<StampMode> {};
 
 TEST_P(CausalCoreRecovery, MidTrafficCrashRestoresTheExactImage) {
   const ScenarioResult result = RunCrashScenario(GetParam());
@@ -113,23 +118,18 @@ TEST_P(CausalCoreRecovery, MidTrafficCrashRestoresTheExactImage) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, CausalCoreRecovery,
-                         ::testing::Values(CausalCoreKind::kMatrix,
-                                           CausalCoreKind::kHybrid),
-                         [](const auto& info) {
-                           return std::string(
-                               CausalCoreKindName(info.param));
-                         });
+                         ::testing::Values(StampMode::kFullMatrix,
+                                           StampMode::kUpdates),
+                         ModeName);
 
 // An injected commit failure halts the server fail-stop; a reboot over
 // the committed store state lands exactly on the pre-failure image and
-// retransmission re-delivers the swallowed message -- for every core.
-class CausalCoreFailStop : public ::testing::TestWithParam<CausalCoreKind> {};
+// retransmission re-delivers the swallowed message -- in both modes.
+class CausalCoreFailStop : public ::testing::TestWithParam<StampMode> {};
 
 TEST_P(CausalCoreFailStop, CommitFailureThenRebootRecoversExactly) {
-  const CausalCoreKind kind = GetParam();
-  auto config = Flat(2);
-  config.causal_core = kind;
-  auto deployment = domains::Deployment::Create(config).value();
+  auto deployment =
+      domains::Deployment::Create(Flat(2, GetParam())).value();
 
   sim::Simulator simulator;
   net::SimRuntime runtime(simulator);
@@ -193,8 +193,7 @@ TEST_P(CausalCoreFailStop, CommitFailureThenRebootRecoversExactly) {
   }
   ASSERT_TRUE(server1->Boot().ok());
   EXPECT_EQ(server1->DebugImage(), image_before)
-      << CausalCoreKindName(kind)
-      << ": recovery diverged from the pre-failure image";
+      << "recovery diverged from the pre-failure image";
 
   simulator.RunToCompletion();
   EXPECT_EQ(echo->pings_seen(), 6u);
@@ -209,61 +208,9 @@ TEST_P(CausalCoreFailStop, CommitFailureThenRebootRecoversExactly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, CausalCoreFailStop,
-                         ::testing::Values(CausalCoreKind::kMatrix,
-                                           CausalCoreKind::kHybrid),
-                         [](const auto& info) {
-                           return std::string(
-                               CausalCoreKindName(info.param));
-                         });
-
-TEST(CausalCoreRecoveryGuard, BootRejectsAStoreWrittenByADifferentCore) {
-  // A store written under the hybrid core must not boot under a config
-  // that runs the matrix core: the bytes would be reinterpreted as the
-  // wrong coordinates.  Switching cores requires an epoch cutover.
-  auto hybrid_config = Flat(2);
-  hybrid_config.causal_core = CausalCoreKind::kHybrid;
-  auto matrix_config = Flat(2);
-  auto hybrid_deployment = domains::Deployment::Create(hybrid_config).value();
-  auto matrix_deployment = domains::Deployment::Create(matrix_config).value();
-
-  sim::Simulator simulator;
-  net::SimRuntime runtime(simulator);
-  net::SimNetwork network(simulator, net::CostModel{});
-
-  auto endpoint0 = network.CreateEndpoint(ServerId(0)).value();
-  auto endpoint1 = network.CreateEndpoint(ServerId(1)).value();
-  mom::InMemoryStore store0;
-  mom::InMemoryStore store1;
-
-  mom::AgentServerOptions options;
-  options.retransmit_timeout_ns = 100 * sim::kMillisecond;
-
-  auto server0 = std::make_unique<mom::AgentServer>(
-      hybrid_deployment, ServerId(0), endpoint0.get(), &runtime, &store0,
-      options);
-  auto server1 = std::make_unique<mom::AgentServer>(
-      hybrid_deployment, ServerId(1), endpoint1.get(), &runtime, &store1,
-      options);
-  server1->AttachAgent(1, std::make_unique<workload::EchoAgent>());
-  ASSERT_TRUE(server0->Boot().ok());
-  ASSERT_TRUE(server1->Boot().ok());
-  ASSERT_TRUE(server0
-                  ->SendMessage(AgentId{ServerId(0), 7},
-                                AgentId{ServerId(1), 1}, workload::kPing)
-                  .ok());
-  simulator.RunToCompletion();
-  server0->Shutdown();
-  server1->Halt();
-  server1.reset();
-
-  // "Downgrade" the config across the crash: same store, matrix core.
-  server1 = std::make_unique<mom::AgentServer>(
-      matrix_deployment, ServerId(1), endpoint1.get(), &runtime, &store1,
-      options);
-  const Status boot = server1->Boot();
-  EXPECT_EQ(boot.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(boot.to_string().find("hybrid"), std::string::npos) << boot;
-}
+                         ::testing::Values(StampMode::kFullMatrix,
+                                           StampMode::kUpdates),
+                         ModeName);
 
 // Boots S0 of a Flat(2) matrix-core deployment over `store` and halts
 // it again; returns the boot status.
@@ -278,6 +225,94 @@ Status BootAndHalt(mom::Store& store) {
   const Status boot = server.Boot();
   server.Halt();
   return boot;
+}
+
+TEST(CausalCoreRecoveryGuard, BootRejectsAStoreWrittenByADifferentCore) {
+  // The retired cores wrote their clock images under kind bytes 1
+  // (hybrid buffering) and 2 (reduced matrix).  Their payloads mean
+  // nothing to the matrix clock, so a store that still holds one fails
+  // boot instead of being read as matrix coordinates.
+  for (std::uint8_t kind : {1, 2}) {
+    mom::InMemoryStore store;
+    ASSERT_TRUE(BootAndHalt(store).ok());
+    Bytes image = store.Get(mom::ClockKey(0)).value();
+    image[0] = kind;
+    store.Put(mom::ClockKey(0), std::move(image));
+    ASSERT_TRUE(store.Commit().ok());
+    EXPECT_EQ(BootAndHalt(store).code(), StatusCode::kDataLoss)
+        << "kind " << int{kind};
+  }
+}
+
+TEST(CausalCoreRecoveryGuard, BootRejectsAClockImageOfAnotherShape) {
+  // A well-formed image that is not S0's clock of this 2-member domain
+  // -- another member's, or a clock of another size -- would index past
+  // the matrix on the next send.  Boot refuses it.
+  for (const clocks::MatrixClockCore& foreign :
+       {clocks::MatrixClockCore(DomainServerId(1), 2, StampMode::kUpdates),
+        clocks::MatrixClockCore(DomainServerId(0), 1, StampMode::kUpdates),
+        clocks::MatrixClockCore(DomainServerId(0), 3, StampMode::kUpdates)}) {
+    mom::InMemoryStore store;
+    ASSERT_TRUE(BootAndHalt(store).ok());
+    ByteWriter out;
+    foreign.EncodeState(out);
+    store.Put(mom::ClockKey(0), std::move(out).Take());
+    ASSERT_TRUE(store.Commit().ok());
+    EXPECT_EQ(BootAndHalt(store).code(), StatusCode::kDataLoss)
+        << "self " << foreign.self() << " size " << foreign.domain_size();
+  }
+}
+
+// A hold/ record is re-checked the way its frame was on arrival: a
+// sender or a stamp entry outside the domain, or a stamp without the
+// sender's own counter, is a corrupt store and fails boot.
+TEST(CausalCoreRecoveryGuard, BootRejectsAHeldFrameWithAMalformedStamp) {
+  const DomainServerId s0(0);
+  const DomainServerId s1(1);
+  const struct {
+    std::uint16_t src;
+    clocks::Stamp stamp;
+  } cases[] = {
+      {1, {{{s1, s0, 2}, {DomainServerId(5), s0, 1}}}},
+      {1, {{{s0, s1, 2}}}},
+      {5, {{{DomainServerId(5), s0, 2}}}},
+  };
+  for (const auto& c : cases) {
+    mom::InMemoryStore store;
+    ASSERT_TRUE(BootAndHalt(store).ok());
+    mom::DataFrame frame;
+    frame.message.id = MessageId{ServerId(1), 2};
+    frame.message.from = AgentId{ServerId(1), 1};
+    frame.message.to = AgentId{ServerId(0), 1};
+    frame.domain = DomainId(0);
+    frame.stamp = c.stamp;
+    frame.incarnation = 1;
+    ByteWriter out;
+    out.WriteVarU64(1);  // arrival ticket
+    out.WriteU16(c.src);
+    out.WriteBytes(frame.Serialize());
+    store.Put(mom::HoldKey(0, frame.message.id), std::move(out).Take());
+    ASSERT_TRUE(store.Commit().ok());
+    EXPECT_EQ(BootAndHalt(store).code(), StatusCode::kDataLoss)
+        << "src " << c.src << " stamp " << c.stamp;
+  }
+  // The same record with a well-formed stamp boots (and stays held).
+  mom::InMemoryStore store;
+  ASSERT_TRUE(BootAndHalt(store).ok());
+  mom::DataFrame frame;
+  frame.message.id = MessageId{ServerId(1), 2};
+  frame.message.from = AgentId{ServerId(1), 1};
+  frame.message.to = AgentId{ServerId(0), 1};
+  frame.domain = DomainId(0);
+  frame.stamp = {{{s1, s0, 2}}};
+  frame.incarnation = 1;
+  ByteWriter out;
+  out.WriteVarU64(1);
+  out.WriteU16(1);
+  out.WriteBytes(frame.Serialize());
+  store.Put(mom::HoldKey(0, frame.message.id), std::move(out).Take());
+  ASSERT_TRUE(store.Commit().ok());
+  EXPECT_TRUE(BootAndHalt(store).ok());
 }
 
 TEST(CausalCoreRecoveryGuard, BootRejectsAParentFormatMatrixImage) {

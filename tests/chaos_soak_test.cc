@@ -65,29 +65,5 @@ TEST(ChaosSoak, ScheduledFaultsLeaveEveryInvariantGreen) {
               static_cast<unsigned long long>(report.fail_stops));
 }
 
-// The same storm with the hybrid buffering core active in every
-// domain: constant-size stamps must not cost any reliability under
-// crashes, partitions and storage faults.
-TEST(ChaosSoak, HybridCoreSurvivesTheSameStorm) {
-  chaos::ChaosSoakOptions options;
-  options.seed = SeedFromEnv(20260809, "chaos_soak_hybrid_test");
-  options.duration_ms = 1500;
-  options.causal_core = clocks::CausalCoreKind::kHybrid;
-
-  auto result = chaos::RunChaosSoak(options);
-  ASSERT_TRUE(result.ok()) << result.status().to_string();
-  const chaos::SoakReport& report = result.value();
-
-  EXPECT_GT(report.crashes, 0u);
-  EXPECT_GT(report.partitions, 0u);
-  EXPECT_GT(report.messages_accepted, 100u);
-  EXPECT_TRUE(report.causal) << report.first_violation;
-  EXPECT_TRUE(report.exactly_once);
-  EXPECT_TRUE(report.zero_loss)
-      << "sent " << report.messages_sent << " delivered "
-      << report.messages_delivered;
-  EXPECT_TRUE(report.ok());
-}
-
 }  // namespace
 }  // namespace cmom

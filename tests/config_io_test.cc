@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
 
 #include "domains/deployment.h"
 #include "domains/topologies.h"
@@ -46,51 +47,77 @@ TEST(ConfigIo, FullMatrixModeAndCyclicFlag) {
   EXPECT_TRUE(config.value().allow_cyclic_domain_graph);
 }
 
+// The matrix clock is the only causal core, so the directive that chose
+// between cores is gone.  Both of its forms -- the MOM-wide default and
+// the per-domain override -- are unknown directives, reported with their
+// line number, and the formatter writes neither.
 TEST(ConfigIo, CausalCoreDefaultAndOverrides) {
-  auto config = ParseMomConfig(
-      "servers = 6\n"
-      "causal_core = hybrid\n"
-      "causal_core 1 = matrix\n"
-      "domain 0 = 0 1 2\n"
-      "domain 1 = 2 3 4\n"
-      "domain 2 = 4 5\n");
-  ASSERT_TRUE(config.ok()) << config.status();
-  EXPECT_EQ(config.value().causal_core, clocks::CausalCoreKind::kHybrid);
-  EXPECT_EQ(config.value().CoreFor(DomainId(0)),
-            clocks::CausalCoreKind::kHybrid);
-  EXPECT_EQ(config.value().CoreFor(DomainId(1)),
-            clocks::CausalCoreKind::kMatrix);
-
-  // Format -> parse round trip preserves both the default and the
-  // override, and omitting the key means matrix.
-  const std::string text = FormatMomConfig(config.value());
-  auto reparsed = ParseMomConfig(text);
-  ASSERT_TRUE(reparsed.ok()) << reparsed.status();
-  EXPECT_EQ(reparsed.value().causal_core, clocks::CausalCoreKind::kHybrid);
-  EXPECT_EQ(reparsed.value().CoreFor(DomainId(1)),
-            clocks::CausalCoreKind::kMatrix);
-  auto plain = ParseMomConfig("servers = 2\ndomain 0 = 0 1\n");
-  ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(plain.value().causal_core, clocks::CausalCoreKind::kMatrix);
-  EXPECT_TRUE(plain.value().causal_core_overrides.empty());
+  for (const char* line : {"causal_core = matrix", "causal_core 0 = matrix"}) {
+    auto config = ParseMomConfig(std::string("servers = 2\n") + line +
+                                 "\ndomain 0 = 0 1\n");
+    ASSERT_FALSE(config.ok()) << line;
+    EXPECT_EQ(config.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(config.status().message().find("line 2: unknown directive"),
+              std::string::npos)
+        << config.status();
+  }
+  const std::string text = FormatMomConfig(topologies::Bus(2, 3));
+  EXPECT_EQ(text.find("causal_core"), std::string::npos) << text;
 }
 
 TEST(ConfigIo, CausalCoreErrors) {
-  // Unknown kinds, duplicate overrides and malformed lines are
-  // rejected with the line number.
-  EXPECT_FALSE(ParseMomConfig("servers = 2\ncausal_core = vector\n"
-                              "domain 0 = 0 1\n")
-                   .ok());
-  // The Drummond-Barbosa reduced core is retired: the paper's Updates
-  // stamps match or beat it in every measured cell.
-  EXPECT_FALSE(ParseMomConfig("servers = 2\ncausal_core = reduced\n"
-                              "domain 0 = 0 1\n")
-                   .ok());
-  EXPECT_FALSE(ParseMomConfig("servers = 2\ncausal_core 0 = matrix\n"
-                              "causal_core 0 = hybrid\ndomain 0 = 0 1\n")
-                   .ok());
-  EXPECT_FALSE(
-      ParseMomConfig("servers = 2\ncausal_core 0 =\ndomain 0 = 0 1\n").ok());
+  // Naming a retired core (hybrid, reduced) or no core at all is the
+  // same unknown directive: no kind parses.
+  for (const char* line : {"causal_core = hybrid", "causal_core = reduced",
+                           "causal_core 0 = hybrid", "causal_core ="}) {
+    auto config = ParseMomConfig(std::string("servers = 2\n") + line +
+                                 "\ndomain 0 = 0 1\n");
+    ASSERT_FALSE(config.ok()) << line;
+    EXPECT_NE(config.status().message().find("line 2: unknown directive"),
+              std::string::npos)
+        << config.status();
+  }
+}
+
+// Server and domain ids are 16-bit on the wire and in the store.  A
+// wider id in a config is an error on its line, not an id to truncate
+// (domain 65536 used to become domain 0, member 65537 server 1).
+TEST(ConfigIo, IdsAbove65535AreRejected) {
+  const struct {
+    const char* text;
+    const char* where;
+  } cases[] = {
+      {"servers = 2\ndomain 65536 = 0 1\n", "line 2: id 65536"},
+      {"servers = 0 1\ndomain 0 = 0 65537\n", "line 2: id 65537"},
+      {"servers = 0 70000\ndomain 0 = 0\n", "line 1: id 70000"},
+  };
+  for (const auto& c : cases) {
+    auto config = ParseMomConfig(c.text);
+    ASSERT_FALSE(config.ok()) << c.text;
+    EXPECT_EQ(config.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(config.status().message().find(c.where), std::string::npos)
+        << config.status();
+  }
+  auto widest =
+      ParseMomConfig("servers = 0 65535\ndomain 65535 = 0 65535\n");
+  ASSERT_TRUE(widest.ok()) << widest.status();
+  EXPECT_EQ(widest.value().domains[0].id, DomainId(65535));
+  EXPECT_EQ(widest.value().domains[0].members[1], ServerId(65535));
+}
+
+// `servers = <count>` names ids 0..count-1, so a count above 65536
+// cannot be met (the ids past 65535 used to wrap around to 0).
+TEST(ConfigIo, ServerCountAbove65536IsRejected) {
+  auto over = ParseMomConfig("servers = 65537\n");
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(over.status().message().find("line 1: server count 65537"),
+            std::string::npos)
+      << over.status();
+  auto full = ParseMomConfig("servers = 65536\n");
+  ASSERT_TRUE(full.ok()) << full.status();
+  EXPECT_EQ(full.value().servers.size(), 65536u);
+  EXPECT_EQ(full.value().servers.back(), ServerId(65535));
 }
 
 TEST(ConfigIo, ErrorsCarryLineNumbers) {

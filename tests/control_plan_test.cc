@@ -78,70 +78,6 @@ TEST(ReconfigPlan, BuildRejectsStampModeChange) {
   EXPECT_FALSE(plan.ok());
 }
 
-TEST(ReconfigPlan, BuildRejectsCausalCoreChangeOnSurvivingDomain) {
-  // A domain's causal core cannot change across an epoch: the stores
-  // hold images in the old core's format and no remap converts them.
-  auto old_config = ThreeDomainChain();
-  auto new_config = old_config;
-  new_config.causal_core_overrides.emplace_back(
-      DomainId(0), clocks::CausalCoreKind::kHybrid);
-  auto plan = ReconfigPlan::Build(0, old_config, new_config);
-  EXPECT_FALSE(plan.ok());
-
-  // Flipping the global default has the same effect on every domain.
-  auto flipped = old_config;
-  flipped.causal_core = clocks::CausalCoreKind::kHybrid;
-  EXPECT_FALSE(ReconfigPlan::Build(0, old_config, flipped).ok());
-}
-
-TEST(ReconfigPlanOps, MergeDomainsRejectsMixedCores) {
-  auto config = ThreeDomainChain();
-  config.causal_core_overrides.emplace_back(DomainId(1),
-                                            clocks::CausalCoreKind::kHybrid);
-  // D1 runs hybrid, D2 the default matrix: their durable state is not
-  // interconvertible, so the merge must be refused up front.
-  auto mixed = MergeDomains(config, DomainId(1), DomainId(2));
-  EXPECT_FALSE(mixed.ok());
-
-  // With both domains on the same core the merge goes through, keeps
-  // the core, and drops the vanished domain's override.
-  config.causal_core_overrides.emplace_back(DomainId(2),
-                                            clocks::CausalCoreKind::kHybrid);
-  auto merged = MergeDomains(config, DomainId(1), DomainId(2));
-  ASSERT_TRUE(merged.ok()) << merged.status();
-  EXPECT_EQ(merged.value().CoreFor(DomainId(1)),
-            clocks::CausalCoreKind::kHybrid);
-  for (const auto& [domain, kind] : merged.value().causal_core_overrides) {
-    EXPECT_NE(domain, DomainId(2)) << "stale override for the retired id";
-  }
-}
-
-TEST(ReconfigPlanOps, SplitDomainInheritsTheNonDefaultCore) {
-  auto config = ThreeDomainChain();
-  config.causal_core_overrides.emplace_back(DomainId(1),
-                                            clocks::CausalCoreKind::kHybrid);
-  domains::TrafficProfile traffic(3);
-  traffic.set(1, 2, 100.0);
-  traffic.set(0, 1, 1.0);
-  auto split = SplitDomain(config, DomainId(1), traffic, DomainId(10),
-                           /*max_domain_size=*/2);
-  ASSERT_TRUE(split.ok()) << split.status();
-  // Every part of the old D1 -- the id-keeping part and the split-off
-  // ones -- keeps running the hybrid core.
-  std::size_t parts = 0;
-  for (const auto& spec : split.value().domains) {
-    if (spec.id != DomainId(1) && spec.id.value() < 10) continue;
-    ++parts;
-    EXPECT_EQ(split.value().CoreFor(spec.id),
-              clocks::CausalCoreKind::kHybrid)
-        << "domain " << to_string(spec.id);
-  }
-  EXPECT_GE(parts, 2u);
-  // And the transition validates end to end.
-  auto plan = ReconfigPlan::Build(0, config, split.value());
-  EXPECT_TRUE(plan.ok()) << plan.status();
-}
-
 TEST(ReconfigPlanOps, RemoveServerDropsMembershipsAndRegistration) {
   auto config = ThreeDomainChain();
   auto removed = RemoveServer(config, ServerId(5));

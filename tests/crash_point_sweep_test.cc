@@ -5,9 +5,9 @@
 // it over the inner store right after the failing event, and runs the
 // cluster to quiescence.  Whatever commit the crash hits, the oracle
 // must stay green, nothing may be left queued or held, and no queue
-// record may outlive the traffic.  Two scenarios: a Flat(3) matrix
-// domain, and a Bus whose router sits in one hybrid and one matrix
-// domain, so a crashed router recovers both clocks and its fwd/ stage.
+// record may outlive the traffic.  Two scenarios: a Flat(3) domain, and
+// a Bus whose router sits in two domains, so a crashed router recovers
+// both clocks and its fwd/ stage.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +20,6 @@
 
 #include "causality/checker.h"
 #include "causality/trace.h"
-#include "clocks/causal_core.h"
 #include "domains/deployment.h"
 #include "domains/topologies.h"
 #include "mom/agent_server.h"
@@ -104,14 +103,11 @@ Scenario FlatScenario() {
                     50 * sim::kMillisecond}}};
 }
 
-// Bus(2, 2): router S0 is in the backbone D0 = {S0, S2} (matrix) and
-// the leaf D1 = {S0, S1} (hybrid).  Traffic crosses it both ways, so it
-// stages forwards under fwd/ and advances both of its clocks.
+// Bus(2, 2): router S0 is in the backbone D0 = {S0, S2} and the leaf
+// D1 = {S0, S1}.  Traffic crosses it both ways, so it stages forwards
+// under fwd/ and advances both of its clocks.
 Scenario RouterScenario() {
-  domains::MomConfig config = domains::topologies::Bus(2, 2);
-  config.causal_core_overrides.emplace_back(DomainId(1),
-                                            clocks::CausalCoreKind::kHybrid);
-  return Scenario{std::move(config),
+  return Scenario{domains::topologies::Bus(2, 2),
                   ServerId(3),
                   std::nullopt,
                   {{ServerId(1), ServerId(3), "first", 0},
@@ -257,7 +253,7 @@ TEST(CrashPointSweep, SenderWithUnackedFrameSurvivesACrashAtEveryCommit) {
 
 // Every message to the sink comes from S1 through the router, so its
 // delivery order is fixed whatever commit the router crashes at.
-TEST(CrashPointSweep, HybridMatrixRouterSurvivesACrashAtEveryCommit) {
+TEST(CrashPointSweep, BusRouterSurvivesACrashAtEveryCommit) {
   Sweep(RouterScenario(), ServerId(0), /*check_sink_order=*/true);
 }
 

@@ -24,8 +24,8 @@ namespace fs = std::filesystem;
 std::optional<clocks::MatrixClock> MatrixOf(const mom::AgentServer& server,
                                             std::size_t index) {
   auto core = server.CoreSnapshot(index);
-  if (core == nullptr) return std::nullopt;
-  return dynamic_cast<const clocks::MatrixClockCore&>(*core).matrix();
+  if (!core.has_value()) return std::nullopt;
+  return core->matrix();
 }
 
 class FileStoreMomTest : public ::testing::Test {

@@ -44,13 +44,13 @@ TEST_P(DecodeFuzz, RandomBytesNeverCrashDecoders) {
       ByteReader reader(bytes);
       (void)clocks::VectorClock::Decode(reader);
     }
-    (void)clocks::DecodeCausalCoreState(bytes);
-    for (std::uint8_t kind : {0, 1}) {
-      // The same bytes behind each valid kind byte exercise every
-      // per-kind core payload decoder.
-      Bytes tagged{kind};
+    (void)clocks::MatrixClockCore::Decode(bytes);
+    {
+      // The same bytes behind the valid kind byte exercise the core's
+      // payload decoder.
+      Bytes tagged{clocks::MatrixClockCore::kImageKind};
       tagged.insert(tagged.end(), bytes.begin(), bytes.end());
-      (void)clocks::DecodeCausalCoreState(tagged);
+      (void)clocks::MatrixClockCore::Decode(tagged);
     }
     {
       ByteReader reader(bytes);
@@ -163,6 +163,75 @@ TEST(GarbageFrames, LiveServerSurvivesJunkFromTheNetwork) {
   EXPECT_EQ(sink->received(), 5u);
   server.Shutdown();
   SetLogLevel(saved_level);
+}
+
+// A peer whose frames decode but whose stamps the clock cannot read:
+// a row outside the domain (in the receiver's column, which the check
+// reads, and in another column, which delivery merges) and a stamp
+// without the sender's own counter.  The server drops each unread,
+// unacknowledged and counted, and a well-formed frame on the same link
+// still delivers.
+TEST(GarbageFrames, MalformedStampsAreDroppedUnackedAndTheLinkStillDelivers) {
+  auto deployment =
+      domains::Deployment::Create(domains::topologies::Flat(2)).value();
+  sim::Simulator simulator;
+  net::SimRuntime runtime(simulator);
+  net::SimNetwork network(simulator, net::CostModel{});
+  auto peer = network.CreateEndpoint(ServerId(0)).value();
+  auto endpoint1 = network.CreateEndpoint(ServerId(1)).value();
+  std::vector<MessageId> acked;
+  peer->SetReceiveHandler([&](ServerId, Bytes bytes) {
+    auto type = mom::PeekFrameType(bytes);
+    if (!type.ok() || type.value() != mom::FrameType::kAck) return;
+    auto ack = mom::DeserializeAck(bytes);
+    ASSERT_TRUE(ack.ok()) << ack.status();
+    acked.insert(acked.end(), ack.value().messages.begin(),
+                 ack.value().messages.end());
+  });
+  mom::InMemoryStore store;
+  mom::AgentServer server(deployment, ServerId(1), endpoint1.get(), &runtime,
+                          &store);
+  workload::SinkAgent* sink = nullptr;
+  {
+    auto agent = std::make_unique<workload::SinkAgent>();
+    sink = agent.get();
+    server.AttachAgent(1, std::move(agent));
+  }
+  ASSERT_TRUE(server.Boot().ok());
+
+  const DomainServerId s0(0);
+  const DomainServerId s1(1);
+  const DomainServerId outside(5);
+  auto frame = [](std::uint64_t seq, clocks::Stamp stamp) {
+    mom::DataFrame data;
+    data.message.id = MessageId{ServerId(0), seq};
+    data.message.from = AgentId{ServerId(0), 1};
+    data.message.to = AgentId{ServerId(1), 1};
+    data.message.subject = "x";
+    data.domain = DomainId(0);
+    data.stamp = std::move(stamp);
+    data.incarnation = 1;
+    return data.Serialize();
+  };
+  ASSERT_TRUE(
+      peer->Send(ServerId(1), frame(1, {{{s0, s1, 1}, {outside, s0, 1}}}))
+          .ok());
+  ASSERT_TRUE(
+      peer->Send(ServerId(1), frame(2, {{{s0, s1, 1}, {outside, s1, 1}}}))
+          .ok());
+  ASSERT_TRUE(peer->Send(ServerId(1), frame(3, {{{s0, s0, 1}}})).ok());
+  simulator.RunToCompletion();
+  EXPECT_EQ(server.stats().malformed_frames, 3u);
+  EXPECT_TRUE(acked.empty());
+  ASSERT_NE(sink, nullptr);
+  EXPECT_EQ(sink->received(), 0u);
+
+  ASSERT_TRUE(peer->Send(ServerId(1), frame(4, {{{s0, s1, 1}}})).ok());
+  simulator.RunToCompletion();
+  EXPECT_EQ(sink->received(), 1u);
+  EXPECT_EQ(acked, std::vector<MessageId>{(MessageId{ServerId(0), 4})});
+  EXPECT_EQ(server.stats().malformed_frames, 3u);
+  server.Shutdown();
 }
 
 }  // namespace

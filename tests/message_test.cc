@@ -138,16 +138,14 @@ TEST(DataFrame, RejectsShapesNoEncoderWrites) {
   frame.message = SampleMessage();
   frame.domain = DomainId(1);
   frame.incarnation = 1;
-  const Bytes matrix = frame.Serialize();
-  // An explicit matrix tag (0): the encoder leaves it out.
-  Bytes zero_tag = matrix;
-  zero_tag.push_back(0);
-  EXPECT_FALSE(DataFrame::Deserialize(zero_tag).ok());
-  // Anything after the core tag.
-  frame.core_tag = 1;
-  Bytes trailing = frame.Serialize();
-  trailing.push_back(1);
-  EXPECT_FALSE(DataFrame::Deserialize(trailing).ok());
+  const Bytes encoded = frame.Serialize();
+  // The incarnation ends the frame: no core tag (0 was the matrix
+  // core's, 1 the retired hybrid core's) or any other byte follows it.
+  for (std::uint8_t extra : {0, 1, 0x80}) {
+    Bytes trailing = encoded;
+    trailing.push_back(extra);
+    EXPECT_FALSE(DataFrame::Deserialize(trailing).ok()) << int{extra};
+  }
 }
 
 TEST(AckFrame, RoundTrip) {

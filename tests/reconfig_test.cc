@@ -312,21 +312,20 @@ TEST(Reconfig, ChainedEpochsMergeThenRemoveServer) {
   ExpectCleanTrace(harness);
 }
 
-// A domain running a non-default causal core splits across an epoch:
-// the split parts inherit the core, the cutover remaps the hybrid
-// cores' durable state (kind-checked against the new config), and
-// traffic across the split boundary stays causal and exactly-once.
-TEST(Reconfig, SplitCarriesANonDefaultCoreAcrossTheEpoch) {
+// A MOM on full-matrix stamps (not the default Updates mode) splits a
+// domain across an epoch: the split parts keep the mode, the cutover
+// remaps the clocks' durable state, and traffic across the split
+// boundary stays causal and exactly-once.
+TEST(Reconfig, SplitCarriesFullStampsAcrossTheEpoch) {
   auto config = ThreeDomainChain();
-  config.causal_core_overrides.emplace_back(
-      DomainId(0), clocks::CausalCoreKind::kHybrid);
+  config.stamp_mode = clocks::StampMode::kFullMatrix;
   ThreadedHarness harness(config);
   std::map<ServerId, SinkAgent*> sinks;
   ASSERT_TRUE(harness.Init(SinkInstaller(&sinks)).ok());
   ASSERT_TRUE(harness.BootAll().ok());
 
-  // Epoch-0 traffic crossing both routers so the hybrid core carries
-  // real per-link counters (and possibly live barriers) into the remap.
+  // Epoch-0 traffic crossing both routers so the clocks carry real
+  // counters into the remap.
   for (std::uint16_t i = 0; i < 24; ++i) {
     ASSERT_TRUE(harness
                     .Send(ServerId(i % 6), kSinkLocal,
@@ -342,11 +341,7 @@ TEST(Reconfig, SplitCarriesANonDefaultCoreAcrossTheEpoch) {
   auto new_config = control::SplitDomain(config, DomainId(0), d0_traffic,
                                          DomainId(3), /*max_domain_size=*/2);
   ASSERT_TRUE(new_config.ok()) << new_config.status();
-  // The split parts inherited the hybrid override.
-  EXPECT_EQ(new_config.value().CoreFor(DomainId(0)),
-            clocks::CausalCoreKind::kHybrid);
-  EXPECT_EQ(new_config.value().CoreFor(DomainId(3)),
-            clocks::CausalCoreKind::kHybrid);
+  EXPECT_EQ(new_config.value().stamp_mode, clocks::StampMode::kFullMatrix);
 
   auto plan = control::ReconfigPlan::Build(0, config, new_config.value());
   ASSERT_TRUE(plan.ok()) << plan.status();
@@ -355,7 +350,7 @@ TEST(Reconfig, SplitCarriesANonDefaultCoreAcrossTheEpoch) {
   EXPECT_EQ(harness.cluster_epoch(), 1u);
 
   // Post-split traffic, including across the new D0/D3 boundary and
-  // the untouched matrix domains.
+  // the untouched domains.
   for (std::uint16_t i = 0; i < 12; ++i) {
     ASSERT_TRUE(harness
                     .Send(ServerId(i % 6), kSinkLocal,

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
 
 namespace cmom::clocks {
 namespace {
@@ -70,6 +71,32 @@ TEST(Stamp, DecodeTruncatedFails) {
     ByteReader reader(truncated);
     EXPECT_FALSE(Stamp::Decode(reader).ok()) << "cut at " << cut;
   }
+}
+
+// Domain-local ids are 16-bit: a row or col varint above 0xFFFF is
+// corruption, not an id to truncate (0x10001 used to read as 1).
+TEST(Stamp, DecodeRejectsCoordinatesAbove16Bits) {
+  for (const auto& [row, col] :
+       {std::pair<std::uint32_t, std::uint32_t>{0x10001, 1}, {1, 0x10000}}) {
+    ByteWriter writer;
+    writer.WriteVarU64(1);
+    writer.WriteVarU32(row);
+    writer.WriteVarU32(col);
+    writer.WriteVarU64(5);
+    ByteReader reader(writer.buffer());
+    auto decoded = Stamp::Decode(reader);
+    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss)
+        << row << "," << col;
+  }
+  ByteWriter widest;
+  widest.WriteVarU64(1);
+  widest.WriteVarU32(0xFFFF);
+  widest.WriteVarU32(0xFFFF);
+  widest.WriteVarU64(5);
+  ByteReader reader(widest.buffer());
+  auto decoded = Stamp::Decode(reader);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded.value().entries[0].row, D(0xFFFF));
 }
 
 TEST(Stamp, StreamsReadably) {

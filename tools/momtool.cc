@@ -8,12 +8,11 @@
 //       flat <n> | bus <k> <s> | daisy <k> <s> | tree <k> <s> <d> |
 //       ring <k> <s>
 //   momtool topo <config-file>            pre-deploy lint: print the
-//                                         domain graph, router-servers,
-//                                         per-domain causal cores, and
-//                                         per-server clock cost (per-core
-//                                         stamp cost: s^2 matrix, 1
-//                                         hybrid); exits non-zero when
-//                                         the graph is cyclic
+//                                         domain graph, router-servers
+//                                         and per-server clock cost (the
+//                                         s^2 stamp entries of each of
+//                                         its domains); exits non-zero
+//                                         when the graph is cyclic
 //   momtool split <traffic> <max-size>    traffic-aware domain split
 //                                         (Section 7 future work);
 //                                         emits the config, plus cost
@@ -23,11 +22,10 @@
 //   momtool tcpsmoke <servers> <pings>    boot a flat MOM over real TCP
 //       [--base-port P]                   loopback sockets with fault
 //       [--drop p] [--dup p] [--disc p]   injection, run a ping storm,
-//       [--seed s] [--core K]             verify causal exactly-once
+//       [--seed s]                        verify causal exactly-once
 //                                         delivery and print transport
 //                                         health, commit counters and
-//                                         the active causal core per
-//                                         domain (K = matrix|hybrid)
+//                                         stamp and hold-back sizes
 //   momtool storestat <dir>               inspect a FileStore directory:
 //                                         keys and bytes per key-space
 //                                         prefix, plus WAL/snapshot
@@ -167,22 +165,15 @@ int TopoLint(const std::string& path) {
   const auto& d = deployment.value();
   const domains::DomainGraph& graph = d.domain_graph();
 
-  std::printf("%zu servers, %zu domains, stamp mode %s, causal core %s\n",
+  std::printf("%zu servers, %zu domains, stamp mode %s\n",
               d.servers().size(), relaxed.domains.size(),
               relaxed.stamp_mode == clocks::StampMode::kUpdates ? "updates"
-                                                                : "full",
-              std::string(clocks::CausalCoreKindName(relaxed.causal_core))
-                  .c_str());
+                                                                : "full");
   for (const domains::DomainSpec& spec : relaxed.domains) {
     std::printf("  %s (%zu):", to_string(spec.id).c_str(),
                 spec.members.size());
     for (ServerId member : spec.members) {
       std::printf(" %s", to_string(member).c_str());
-    }
-    const clocks::CausalCoreKind kind = relaxed.CoreFor(spec.id);
-    if (kind != relaxed.causal_core) {
-      std::printf("  [core %s]",
-                  std::string(clocks::CausalCoreKindName(kind)).c_str());
     }
     std::printf("\n");
   }
@@ -196,19 +187,17 @@ int TopoLint(const std::string& path) {
                 to_string(edge.b).c_str(), to_string(edge.via).c_str());
   }
 
-  // Per-server clock cost: what a server pays per stamp in each of its
-  // domains, summed -- s^2 under a matrix core, O(1) under hybrid
-  // buffering.  This (not a fixed s^2) is the quantity the splitter's
+  // Per-server clock cost: the s^2 entries of a full matrix stamp in
+  // each of its domains, summed -- the quantity the splitter's
   // objective approximates.
   std::size_t total = 0;
-  std::printf("clock cost (sum of per-core stamp cost per server):\n");
+  std::printf("clock cost (sum of s^2 stamp entries per server):\n");
   for (ServerId id : d.servers()) {
     std::size_t cost = 0;
     for (const domains::DomainSpec& spec : relaxed.domains) {
       if (std::find(spec.members.begin(), spec.members.end(), id) !=
           spec.members.end()) {
-        cost += clocks::CausalCoreStampCost(relaxed.CoreFor(spec.id),
-                                            spec.members.size());
+        cost += spec.members.size() * spec.members.size();
       }
     }
     total += cost;
@@ -339,22 +328,14 @@ void PrintServerCommitStats(ServerId id, const mom::ServerStats& stats) {
   }
 }
 
-// Prints the causal-core health of one server: which core each of its
-// domains runs, the encoded stamp-size distribution, hold-back depth at
-// enqueue time, and frames fenced for carrying the wrong core tag.
-void PrintCausalCoreStats(ServerId id, const mom::AgentServer& server) {
-  const auto cores = server.ActiveCores();
-  const mom::ServerStats stats = server.stats();
-  std::printf("S%u:   causal cores ", id.value());
-  for (const auto& [domain, kind] : cores) {
-    std::printf(" %s=%s", to_string(domain).c_str(),
-                std::string(clocks::CausalCoreKindName(kind)).c_str());
+// Prints the clock health of one server: the encoded stamp-size
+// distribution, hold-back depth at enqueue time, and frames dropped for
+// a malformed stamp.
+void PrintClockStats(ServerId id, const mom::ServerStats& stats) {
+  if (stats.malformed_frames > 0) {
+    std::printf("S%u:   malformed frames %llu\n", id.value(),
+                static_cast<unsigned long long>(stats.malformed_frames));
   }
-  if (stats.core_fenced_frames > 0) {
-    std::printf("  fenced=%llu",
-                static_cast<unsigned long long>(stats.core_fenced_frames));
-  }
-  std::printf("\n");
   if (stats.stamp_bytes_hist.count > 0) {
     std::printf("S%u:   stamp bytes   %s\n", id.value(),
                 stats.stamp_bytes_hist.ToString().c_str());
@@ -416,26 +397,11 @@ int TcpSmoke(int argc, char** argv) {
     return 2;
   }
   std::uint16_t base_port = 26000;
-  clocks::CausalCoreKind core = clocks::CausalCoreKind::kMatrix;
   net::FaultyNetworkOptions fault;
   bool any_fault = false;
   for (int arg = 2; arg < argc; ++arg) {
     double value = 0;
-    if (std::strcmp(argv[arg], "--core") == 0) {
-      if (arg + 1 >= argc) {
-        std::fprintf(stderr, "tcpsmoke: --core requires a value\n");
-        return 2;
-      }
-      auto kind = clocks::ParseCausalCoreKind(argv[++arg]);
-      if (!kind.has_value()) {
-        std::fprintf(stderr,
-                     "tcpsmoke: --core expects matrix|hybrid, "
-                     "got '%s'\n",
-                     argv[arg]);
-        return 2;
-      }
-      core = *kind;
-    } else if (std::strcmp(argv[arg], "--base-port") == 0) {
+    if (std::strcmp(argv[arg], "--base-port") == 0) {
       if (!ParseValue("--base-port", argc, argv, arg, 1024, 65535, value)) {
         return 2;
       }
@@ -465,9 +431,8 @@ int TcpSmoke(int argc, char** argv) {
     return 2;
   }
 
-  domains::MomConfig topo = domains::topologies::Flat(n_servers);
-  topo.causal_core = core;
-  auto deployment = domains::Deployment::Create(topo);
+  auto deployment =
+      domains::Deployment::Create(domains::topologies::Flat(n_servers));
   if (!deployment.ok()) return Fail(deployment.status());
 
   net::TcpNetwork tcp(base_port);
@@ -550,10 +515,9 @@ int TcpSmoke(int argc, char** argv) {
                 static_cast<unsigned long long>(shards[i].wakeups));
   }
   for (std::size_t i = 0; i < servers.size(); ++i) {
-    PrintServerCommitStats(ServerId(static_cast<std::uint16_t>(i)),
-                           servers[i]->stats());
-    PrintCausalCoreStats(ServerId(static_cast<std::uint16_t>(i)),
-                         *servers[i]);
+    const mom::ServerStats stats = servers[i]->stats();
+    PrintServerCommitStats(ServerId(static_cast<std::uint16_t>(i)), stats);
+    PrintClockStats(ServerId(static_cast<std::uint16_t>(i)), stats);
     PrintFlowStatus(ServerId(static_cast<std::uint16_t>(i)),
                     servers[i]->flow_status());
   }
