@@ -82,11 +82,15 @@ MatrixClockCore MatrixClockCore::Remap(
   return out;
 }
 
-void MatrixClockCore::EncodeState(ByteWriter& out) const {
-  out.WriteU8(kImageKind);
-  out.WriteU16(self_.value());
-  out.WriteU8(static_cast<std::uint8_t>(mode_));
-  matrix_.Encode(out);
+std::size_t MatrixClockCore::EncodedStateSize() const {
+  return 1 + sizeof(std::uint16_t) + 1 + matrix_.EncodedSize();
+}
+
+std::uint8_t* MatrixClockCore::EncodeStateTo(std::uint8_t* p) const {
+  *p++ = kImageKind;
+  p = PutLittleEndian(p, self_.value());
+  *p++ = static_cast<std::uint8_t>(mode_);
+  return matrix_.EncodeTo(p);
 }
 
 Result<MatrixClockCore> MatrixClockCore::Decode(

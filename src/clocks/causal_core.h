@@ -80,7 +80,14 @@ class MatrixClockCore {
       DomainServerId new_self, std::size_t new_size,
       std::span<const std::optional<DomainServerId>> old_of_new) const;
 
-  void EncodeState(ByteWriter& out) const;
+  // The durable image: EncodedStateSize() is its exact length, computed
+  // without encoding, and EncodeStateTo writes it at `p`, which must
+  // have that many bytes of room.
+  [[nodiscard]] std::size_t EncodedStateSize() const;
+  std::uint8_t* EncodeStateTo(std::uint8_t* p) const;
+  void EncodeState(ByteWriter& out) const {
+    EncodeStateTo(out.Extend(EncodedStateSize()));
+  }
   // Decodes one whole image.  A kind byte other than kImageKind, a
   // malformed payload or any trailing byte is kDataLoss.
   [[nodiscard]] static Result<MatrixClockCore> Decode(

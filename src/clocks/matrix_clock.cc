@@ -43,9 +43,16 @@ MatrixClock MatrixClock::Remap(
   return out;
 }
 
-void MatrixClock::Encode(ByteWriter& out) const {
-  out.WriteVarU64(size_);
-  for (std::uint64_t cell : cells_) out.WriteVarU64(cell);
+std::size_t MatrixClock::EncodedSize() const {
+  std::size_t size = VarU64Size(size_);
+  for (std::uint64_t cell : cells_) size += VarU64Size(cell);
+  return size;
+}
+
+std::uint8_t* MatrixClock::EncodeTo(std::uint8_t* p) const {
+  p = PutVarU64(p, size_);
+  for (std::uint64_t cell : cells_) p = PutVarU64(p, cell);
+  return p;
 }
 
 Result<MatrixClock> MatrixClock::Decode(ByteReader& in) {
@@ -58,11 +65,15 @@ Result<MatrixClock> MatrixClock::Decode(ByteReader& in) {
     return Status::DataLoss("matrix size exceeds input");
   }
   MatrixClock clock(static_cast<std::size_t>(size.value()));
-  for (std::size_t i = 0; i < clock.cells_.size(); ++i) {
-    auto cell = in.ReadVarU64();
-    if (!cell.ok()) return cell.status();
-    clock.cells_[i] = cell.value();
+  const std::uint8_t* p = in.cursor();
+  const std::uint8_t* const end = in.end();
+  for (std::uint64_t& cell : clock.cells_) {
+    p = GetVarU64(p, end, cell);
+    if (p == nullptr) {
+      return Status::DataLoss("truncated or overlong matrix cell");
+    }
   }
+  in.SkipTo(p);
   return clock;
 }
 

@@ -62,8 +62,12 @@ class MatrixClock {
 
   // Persistent image of the clock, as the AAA Channel stores on each
   // commit.  The encoded size is what the paper's "high disk I/O"
-  // concern is about, so callers can meter it.
-  void Encode(ByteWriter& out) const;
+  // concern is about, so callers can meter it; EncodedSize() sums the
+  // cells' varint sizes without encoding them, and EncodeTo writes the
+  // image at `p`, which must have that many bytes of room.
+  [[nodiscard]] std::size_t EncodedSize() const;
+  std::uint8_t* EncodeTo(std::uint8_t* p) const;
+  void Encode(ByteWriter& out) const { EncodeTo(out.Extend(EncodedSize())); }
   [[nodiscard]] static Result<MatrixClock> Decode(ByteReader& in);
 
  private:

@@ -9,13 +9,23 @@ const StampEntry* Stamp::Find(DomainServerId row, DomainServerId col) const {
   return nullptr;
 }
 
-void Stamp::Encode(ByteWriter& out) const {
-  out.WriteVarU64(entries.size());
+std::size_t Stamp::EncodedSize() const {
+  std::size_t size = VarU64Size(entries.size());
   for (const StampEntry& e : entries) {
-    out.WriteVarU32(e.row.value());
-    out.WriteVarU32(e.col.value());
-    out.WriteVarU64(e.value);
+    size += VarU64Size(e.row.value()) + VarU64Size(e.col.value()) +
+            VarU64Size(e.value);
   }
+  return size;
+}
+
+std::uint8_t* Stamp::EncodeTo(std::uint8_t* p) const {
+  p = PutVarU64(p, entries.size());
+  for (const StampEntry& e : entries) {
+    p = PutVarU64(p, e.row.value());
+    p = PutVarU64(p, e.col.value());
+    p = PutVarU64(p, e.value);
+  }
+  return p;
 }
 
 Result<Stamp> Stamp::Decode(ByteReader& in) {
@@ -28,31 +38,28 @@ Result<Stamp> Stamp::Decode(ByteReader& in) {
     return Status::DataLoss("stamp entry count exceeds input");
   }
   Stamp stamp;
-  stamp.entries.reserve(static_cast<std::size_t>(count.value()));
-  for (std::uint64_t i = 0; i < count.value(); ++i) {
-    auto row = in.ReadVarU32();
-    if (!row.ok()) return row.status();
-    auto col = in.ReadVarU32();
-    if (!col.ok()) return col.status();
-    auto value = in.ReadVarU64();
-    if (!value.ok()) return value.status();
+  stamp.entries.resize(static_cast<std::size_t>(count.value()));
+  const std::uint8_t* p = in.cursor();
+  const std::uint8_t* const end = in.end();
+  for (StampEntry& e : stamp.entries) {
+    std::uint64_t row = 0;
+    std::uint64_t col = 0;
+    p = GetVarU64(p, end, row);
+    if (p != nullptr) p = GetVarU64(p, end, col);
+    if (p != nullptr) p = GetVarU64(p, end, e.value);
+    if (p == nullptr) {
+      return Status::DataLoss("truncated or overlong stamp entry");
+    }
     // Domain-local ids are 16-bit; a wider coordinate is corruption,
     // not an id to truncate.
-    if (row.value() > 0xFFFF || col.value() > 0xFFFF) {
+    if (row > 0xFFFF || col > 0xFFFF) {
       return Status::DataLoss("stamp coordinate exceeds 16 bits");
     }
-    stamp.entries.push_back(StampEntry{
-        DomainServerId(static_cast<std::uint16_t>(row.value())),
-        DomainServerId(static_cast<std::uint16_t>(col.value())),
-        value.value()});
+    e.row = DomainServerId(static_cast<std::uint16_t>(row));
+    e.col = DomainServerId(static_cast<std::uint16_t>(col));
   }
+  in.SkipTo(p);
   return stamp;
-}
-
-std::size_t Stamp::EncodedSize() const {
-  ByteWriter writer;
-  Encode(writer);
-  return writer.size();
 }
 
 std::ostream& operator<<(std::ostream& os, const Stamp& stamp) {

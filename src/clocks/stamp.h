@@ -50,11 +50,14 @@ struct Stamp {
   [[nodiscard]] const StampEntry* Find(DomainServerId row,
                                        DomainServerId col) const;
 
-  void Encode(ByteWriter& out) const;
-  [[nodiscard]] static Result<Stamp> Decode(ByteReader& in);
-
-  // Exact number of bytes Encode() would produce.
+  // Exact number of bytes Encode() produces, summed from the varint
+  // sizes of the entries without encoding them.
   [[nodiscard]] std::size_t EncodedSize() const;
+  // Writes the encoding at `p`, which must have EncodedSize() bytes of
+  // room, and returns the byte after it.
+  std::uint8_t* EncodeTo(std::uint8_t* p) const;
+  void Encode(ByteWriter& out) const { EncodeTo(out.Extend(EncodedSize())); }
+  [[nodiscard]] static Result<Stamp> Decode(ByteReader& in);
 };
 
 std::ostream& operator<<(std::ostream& os, const Stamp& stamp);

@@ -68,11 +68,13 @@ class BufferPool {
   [[nodiscard]] static bool enabled();
 };
 
-// Convenience for encode paths: a ByteWriter over a pooled buffer.
-// The finished frame (std::move(writer).Take()) travels through the
-// transport and is released by the receiving decode.
-[[nodiscard]] inline ByteWriter PooledWriter(std::size_t capacity_hint) {
-  return ByteWriter(BufferPool::Acquire(capacity_hint));
+// A pooled buffer of exactly `size` bytes, for an exact-size encoder
+// to write through.  The finished frame travels through the transport
+// and is released by the receiving decode.
+[[nodiscard]] inline Bytes PooledBuffer(std::size_t size) {
+  Bytes out = BufferPool::Acquire(size);
+  out.resize(size);
+  return out;
 }
 
 }  // namespace cmom

@@ -4,50 +4,37 @@
 
 namespace cmom {
 
-void ByteWriter::WriteVarU64(std::uint64_t v) {
-  while (v >= 0x80) {
-    buffer_.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  buffer_.push_back(static_cast<std::uint8_t>(v));
+// Out of line on purpose: inlined into a caller, GCC 12's range
+// analysis of vector::resize reports false -Wstringop-overflow errors.
+std::uint8_t* ByteWriter::Extend(std::size_t n) {
+  const std::size_t at = buffer_.size();
+  buffer_.resize(at + n);
+  return buffer_.data() + at;
 }
 
-void ByteWriter::WriteBytes(std::span<const std::uint8_t> data) {
-  WriteVarU64(data.size());
-  buffer_.insert(buffer_.end(), data.begin(), data.end());
-}
-
-void ByteWriter::WriteString(std::string_view s) {
-  WriteVarU64(s.size());
-  buffer_.insert(buffer_.end(), s.begin(), s.end());
-}
-
-Result<std::uint8_t> ByteReader::ReadU8() {
-  return ReadLittleEndian<std::uint8_t>();
-}
-Result<std::uint16_t> ByteReader::ReadU16() {
-  return ReadLittleEndian<std::uint16_t>();
-}
-Result<std::uint32_t> ByteReader::ReadU32() {
-  return ReadLittleEndian<std::uint32_t>();
-}
-Result<std::uint64_t> ByteReader::ReadU64() {
-  return ReadLittleEndian<std::uint64_t>();
-}
-
-Result<std::uint64_t> ByteReader::ReadVarU64() {
-  std::uint64_t v = 0;
+const std::uint8_t* GetVarU64Slow(const std::uint8_t* p,
+                                  const std::uint8_t* end, std::uint64_t& v) {
+  std::uint64_t value = 0;
   int shift = 0;
-  while (pos_ < data_.size()) {
-    std::uint8_t byte = data_[pos_++];
-    if (shift >= 64 || (shift == 63 && (byte & 0x7E) != 0)) {
-      return Status::DataLoss("varint overflows 64 bits");
+  while (p != end) {
+    const std::uint8_t byte = *p++;
+    if (shift >= 64 || (shift == 63 && (byte & 0x7E) != 0)) return nullptr;
+    value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) {
+      v = value;
+      return p;
     }
-    v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) return v;
     shift += 7;
   }
-  return Status::DataLoss("truncated varint");
+  return nullptr;  // truncated
+}
+
+Status ByteReader::Truncated() {
+  return Status::DataLoss("truncated fixed-width field");
+}
+
+Status ByteReader::BadVarint() {
+  return Status::DataLoss("truncated varint or varint overflows 64 bits");
 }
 
 Result<std::uint32_t> ByteReader::ReadVarU32() {
@@ -59,35 +46,38 @@ Result<std::uint32_t> ByteReader::ReadVarU32() {
   return static_cast<std::uint32_t>(v.value());
 }
 
-Result<Bytes> ByteReader::ReadBytes() {
+Result<std::size_t> ByteReader::ReadLength() {
   auto len = ReadVarU64();
   if (!len.ok()) return len.status();
   if (remaining() < len.value()) {
     return Status::DataLoss("truncated byte string");
   }
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + len.value()));
+  return static_cast<std::size_t>(len.value());
+}
+
+Result<Bytes> ByteReader::ReadBytes() {
+  auto len = ReadLength();
+  if (!len.ok()) return len.status();
+  Bytes out(cursor(), cursor() + len.value());
   pos_ += len.value();
   return out;
 }
 
 Result<Bytes> ByteReader::ReadBytesPooled() {
-  auto len = ReadVarU64();
+  auto len = ReadLength();
   if (!len.ok()) return len.status();
-  if (remaining() < len.value()) {
-    return Status::DataLoss("truncated byte string");
-  }
   Bytes out = BufferPool::Acquire(len.value());
-  out.assign(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-             data_.begin() + static_cast<std::ptrdiff_t>(pos_ + len.value()));
+  out.assign(cursor(), cursor() + len.value());
   pos_ += len.value();
   return out;
 }
 
 Result<std::string> ByteReader::ReadString() {
-  auto raw = ReadBytes();
-  if (!raw.ok()) return raw.status();
-  return std::string(raw.value().begin(), raw.value().end());
+  auto len = ReadLength();
+  if (!len.ok()) return len.status();
+  std::string out(reinterpret_cast<const char*>(cursor()), len.value());
+  pos_ += len.value();
+  return out;
 }
 
 }  // namespace cmom

@@ -165,7 +165,9 @@ Status AgentServer::Boot() {
   }
 
   endpoint_->SetReceiveHandler(
-      [this](ServerId from, Bytes frame) { HandleFrame(from, frame); });
+      [this](ServerId from, Bytes frame) {
+        HandleFrame(from, std::move(frame));
+      });
 
   // Resume pending work: retransmit every unacknowledged entry and
   // continue draining QueueIN.
@@ -816,8 +818,8 @@ void AgentServer::EmitFrame(ServerId to, Bytes bytes) {
 }
 
 void AgentServer::EmitOutEntry(OutEntry& entry) {
-  DataFrame frame{entry.message, entry.domain, entry.stamp, options_.epoch,
-                  incarnation_};
+  const DataFrameView frame{entry.message, entry.domain, entry.stamp,
+                            options_.epoch, incarnation_};
   EmitFrame(entry.next_hop, frame.Serialize());
   ScheduleRetransmit(entry);
 }
@@ -1011,10 +1013,9 @@ void AgentServer::MaybeReplenishCredits() {
 
 void AgentServer::StageForward(DomainId source, Message message) {
   ForwardEntry entry{next_fwd_seq_++, std::move(message)};
-  ByteWriter out;
-  out.WriteU16(source.value());
-  entry.message.Encode(out);
-  StorePut(FwdKey(entry.seq), std::move(out).Take());
+  Bytes record(sizeof(std::uint16_t) + entry.message.EncodedSize());
+  entry.message.EncodeTo(PutLittleEndian(record.data(), source.value()));
+  StorePut(FwdKey(entry.seq), std::move(record));
   forward_stage_.Push(source, std::move(entry));
   stats_.staged_forward_peak = std::max<std::uint64_t>(
       stats_.staged_forward_peak, forward_stage_.size());
@@ -1230,13 +1231,15 @@ void AgentServer::PersistAgent(std::uint32_t local_id) {
 }
 
 void AgentServer::PersistOutEntry(const OutEntry& entry) {
-  ByteWriter out;
-  out.WriteVarU64(entry.enqueue_seq);
-  entry.message.Encode(out);
-  out.WriteU16(entry.next_hop.value());
-  out.WriteU16(entry.domain.value());
-  entry.stamp.Encode(out);
-  StorePut(OutKey(entry.message.id), std::move(out).Take());
+  Bytes record(VarU64Size(entry.enqueue_seq) + entry.message.EncodedSize() +
+               2 * sizeof(std::uint16_t) + entry.stamp.EncodedSize());
+  std::uint8_t* p = PutVarU64(record.data(), entry.enqueue_seq);
+  p = entry.message.EncodeTo(p);
+  p = PutLittleEndian(p, entry.next_hop.value());
+  p = PutLittleEndian(p, entry.domain.value());
+  p = entry.stamp.EncodeTo(p);
+  assert(p == record.data() + record.size());
+  StorePut(OutKey(entry.message.id), std::move(record));
 }
 
 void AgentServer::EraseOutEntry(const OutEntry& entry) {
@@ -1256,12 +1259,16 @@ void AgentServer::EraseInEntry(const InEntry& entry) {
 void AgentServer::PersistHeldFrame(const DomainItem& item,
                                    const HeldFrame& held,
                                    std::uint64_t arrival_seq) {
-  ByteWriter out;
-  out.WriteVarU64(arrival_seq);
-  out.WriteU16(held.src_local.value());
-  out.WriteBytes(held.frame.Serialize());
+  const DataFrameView frame = held.frame.view();
+  const std::size_t frame_size = frame.SerializedSize();
+  Bytes record(VarU64Size(arrival_seq) + sizeof(std::uint16_t) +
+               LengthPrefixedSize(frame_size));
+  std::uint8_t* p = PutVarU64(record.data(), arrival_seq);
+  p = PutLittleEndian(p, held.src_local.value());
+  p = frame.SerializeInto(PutVarU64(p, frame_size));
+  assert(p == record.data() + record.size());
   StorePut(HoldKey(item.deployment_index, held.frame.message.id),
-           std::move(out).Take());
+           std::move(record));
 }
 
 void AgentServer::EraseHeldFrame(const DomainItem& item, MessageId id) {

@@ -1,14 +1,22 @@
 #include "mom/message.h"
 
+#include <cassert>
+
 #include "common/buffer_pool.h"
 
 namespace cmom::mom {
 
 namespace {
 
-void EncodeAgentId(ByteWriter& out, const AgentId& id) {
-  out.WriteU16(id.server.value());
-  out.WriteVarU32(id.local);
+constexpr std::size_t kU16 = sizeof(std::uint16_t);
+
+std::size_t AgentIdSize(const AgentId& id) {
+  return kU16 + VarU64Size(id.local);
+}
+
+std::uint8_t* PutAgentId(std::uint8_t* p, const AgentId& id) {
+  p = PutLittleEndian(p, id.server.value());
+  return PutVarU64(p, id.local);
 }
 
 Result<AgentId> DecodeAgentId(ByteReader& in) {
@@ -19,9 +27,13 @@ Result<AgentId> DecodeAgentId(ByteReader& in) {
   return AgentId{ServerId(server.value()), local.value()};
 }
 
-void EncodeMessageId(ByteWriter& out, const MessageId& id) {
-  out.WriteU16(id.origin.value());
-  out.WriteVarU64(id.seq);
+std::size_t MessageIdSize(const MessageId& id) {
+  return kU16 + VarU64Size(id.seq);
+}
+
+std::uint8_t* PutMessageId(std::uint8_t* p, const MessageId& id) {
+  p = PutLittleEndian(p, id.origin.value());
+  return PutVarU64(p, id.seq);
 }
 
 Result<MessageId> DecodeMessageId(ByteReader& in) {
@@ -34,12 +46,18 @@ Result<MessageId> DecodeMessageId(ByteReader& in) {
 
 }  // namespace
 
-void Message::Encode(ByteWriter& out) const {
-  EncodeMessageId(out, id);
-  EncodeAgentId(out, from);
-  EncodeAgentId(out, to);
-  out.WriteString(subject);
-  out.WriteBytes(payload);
+std::size_t Message::EncodedSize() const {
+  return MessageIdSize(id) + AgentIdSize(from) + AgentIdSize(to) +
+         LengthPrefixedSize(subject.size()) +
+         LengthPrefixedSize(payload.size());
+}
+
+std::uint8_t* Message::EncodeTo(std::uint8_t* p) const {
+  p = PutMessageId(p, id);
+  p = PutAgentId(p, from);
+  p = PutAgentId(p, to);
+  p = PutLengthPrefixed(p, subject.data(), subject.size());
+  return PutLengthPrefixed(p, payload.data(), payload.size());
 }
 
 Result<Message> Message::Decode(ByteReader& in) {
@@ -62,31 +80,27 @@ Result<Message> Message::Decode(ByteReader& in) {
   return message;
 }
 
-void DataFrame::SerializeInto(ByteWriter& out) const {
-  out.WriteU8(static_cast<std::uint8_t>(FrameType::kData));
-  message.Encode(out);
-  out.WriteU16(domain.value());
-  out.WriteVarU64(epoch);
-  stamp.Encode(out);
-  out.WriteVarU64(incarnation);
+std::size_t DataFrameView::SerializedSize() const {
+  return 1 + message.EncodedSize() + kU16 + VarU64Size(epoch) +
+         stamp.EncodedSize() + VarU64Size(incarnation);
 }
 
-Bytes DataFrame::Serialize() const {
-  // Size hint: frame type + domain + ids/subject/payload + stamp, with
-  // a small slop for the varint headers; the buffer comes from the
-  // calling thread's pool, so a steady-state emit path allocates
-  // nothing per frame.
-  ByteWriter out = PooledWriter(16 + message.subject.size() +
-                                message.payload.size() + stamp.EncodedSize());
-  SerializeInto(out);
-  return std::move(out).Take();
+std::uint8_t* DataFrameView::SerializeInto(std::uint8_t* p) const {
+  *p++ = static_cast<std::uint8_t>(FrameType::kData);
+  p = message.EncodeTo(p);
+  p = PutLittleEndian(p, domain.value());
+  p = PutVarU64(p, epoch);
+  p = stamp.EncodeTo(p);
+  return PutVarU64(p, incarnation);
 }
 
-std::size_t DataFrame::SerializedSize() const {
-  Bytes encoded = Serialize();
-  const std::size_t size = encoded.size();
-  BufferPool::Release(std::move(encoded));
-  return size;
+Bytes DataFrameView::Serialize() const {
+  // The buffer comes from the calling thread's pool, so a steady-state
+  // emit path allocates nothing per frame.
+  Bytes out = PooledBuffer(SerializedSize());
+  [[maybe_unused]] const std::uint8_t* end = SerializeInto(out.data());
+  assert(end == out.data() + out.size());
+  return out;
 }
 
 Result<DataFrame> DataFrame::Deserialize(std::span<const std::uint8_t> bytes) {
@@ -117,21 +131,30 @@ Result<DataFrame> DataFrame::Deserialize(std::span<const std::uint8_t> bytes) {
 }
 
 Bytes AckFrame::Serialize() const {
-  ByteWriter out = PooledWriter(16 + 10 * messages.size());
-  out.WriteU8(static_cast<std::uint8_t>(FrameType::kAck));
-  out.WriteVarU32(static_cast<std::uint32_t>(messages.size()));
-  for (const MessageId& id : messages) EncodeMessageId(out, id);
   // Flow-control section, gated on a flags byte: bit 0 the cumulative
   // grant, bit 1 the restart-renegotiation session/echo/accepted trio.
-  out.WriteU8(static_cast<std::uint8_t>((has_credit ? 1 : 0) |
-                                        (has_session ? 2 : 0)));
-  if (has_credit) out.WriteVarU64(credit);
+  const auto count = static_cast<std::uint32_t>(messages.size());
+  std::size_t size = 1 + VarU64Size(count) + 1;
+  for (const MessageId& id : messages) size += MessageIdSize(id);
+  if (has_credit) size += VarU64Size(credit);
   if (has_session) {
-    out.WriteVarU64(session);
-    out.WriteVarU64(echo);
-    out.WriteVarU64(accepted);
+    size += VarU64Size(session) + VarU64Size(echo) + VarU64Size(accepted);
   }
-  return std::move(out).Take();
+  Bytes out = PooledBuffer(size);
+  std::uint8_t* p = out.data();
+  *p++ = static_cast<std::uint8_t>(FrameType::kAck);
+  p = PutVarU64(p, count);
+  for (const MessageId& id : messages) p = PutMessageId(p, id);
+  *p++ = static_cast<std::uint8_t>((has_credit ? 1 : 0) |
+                                   (has_session ? 2 : 0));
+  if (has_credit) p = PutVarU64(p, credit);
+  if (has_session) {
+    p = PutVarU64(p, session);
+    p = PutVarU64(p, echo);
+    p = PutVarU64(p, accepted);
+  }
+  assert(p == out.data() + size);
+  return out;
 }
 
 Result<FrameType> PeekFrameType(std::span<const std::uint8_t> bytes) {

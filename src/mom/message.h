@@ -34,11 +34,38 @@ struct Message {
 
   friend bool operator==(const Message&, const Message&) = default;
 
-  void Encode(ByteWriter& out) const;
+  // Exact encoded length, computed without encoding.
+  [[nodiscard]] std::size_t EncodedSize() const;
+  // Writes the encoding at `p`, which must have EncodedSize() bytes of
+  // room, and returns the byte after it.
+  std::uint8_t* EncodeTo(std::uint8_t* p) const;
+  void Encode(ByteWriter& out) const { EncodeTo(out.Extend(EncodedSize())); }
   [[nodiscard]] static Result<Message> Decode(ByteReader& in);
 };
 
 enum class FrameType : std::uint8_t { kData = 1, kAck = 2 };
+
+// A data frame's fields, borrowed.  It is the one data-frame encoder:
+// DataFrame serializes through its view, and a sender frames a QueueOUT
+// entry in place, without copying its message and stamp into a
+// DataFrame first.  Every frame is encoded once, into a buffer of its
+// exact size.
+struct DataFrameView {
+  const Message& message;
+  DomainId domain;
+  const clocks::Stamp& stamp;
+  std::uint64_t epoch = 0;
+  std::uint64_t incarnation = 0;
+
+  // Exact frame length, computed without encoding.
+  [[nodiscard]] std::size_t SerializedSize() const;
+  // Writes the frame at `p`, which must have SerializedSize() bytes of
+  // room, and returns the byte after it.
+  std::uint8_t* SerializeInto(std::uint8_t* p) const;
+  // The frame in a buffer from the calling thread's BufferPool; the
+  // receiving decode releases it.
+  [[nodiscard]] Bytes Serialize() const;
+};
 
 struct DataFrame {
   Message message;
@@ -59,16 +86,15 @@ struct DataFrame {
 
   friend bool operator==(const DataFrame&, const DataFrame&) = default;
 
-  // Serialize() draws its buffer from the calling thread's BufferPool;
-  // the receiving decode releases it.  SerializeInto appends to a
-  // caller-owned writer (batched encode paths).
-  [[nodiscard]] Bytes Serialize() const;
-  void SerializeInto(ByteWriter& out) const;
+  [[nodiscard]] DataFrameView view() const {
+    return {message, domain, stamp, epoch, incarnation};
+  }
+  [[nodiscard]] Bytes Serialize() const { return view().Serialize(); }
+  [[nodiscard]] std::size_t SerializedSize() const {
+    return view().SerializedSize();
+  }
   [[nodiscard]] static Result<DataFrame> Deserialize(
       std::span<const std::uint8_t> bytes);
-
-  // Frame body without re-serializing twice; used for wire accounting.
-  [[nodiscard]] std::size_t SerializedSize() const;
 };
 
 struct AckFrame {

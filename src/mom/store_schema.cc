@@ -1,16 +1,23 @@
 #include "mom/store_schema.h"
 
-#include <cstdio>
+#include <algorithm>
+#include <bit>
 
 namespace cmom::mom {
 
 namespace {
 
+// Appends `value` as lower-case hex, zero-padded to `digits` nibbles
+// (more when the value needs them, like printf's "%0*llx").
 void AppendHex(std::string& out, std::uint64_t value, int digits) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%0*llx", digits,
-                static_cast<unsigned long long>(value));
-  out += buf;
+  const std::size_t width = std::max<std::size_t>(
+      static_cast<std::size_t>(digits),
+      static_cast<std::size_t>(std::bit_width(value) + 3) / 4);
+  const std::size_t at = out.size();
+  out.resize(at + width);
+  for (std::size_t i = at + width; i > at; value >>= 4) {
+    out[--i] = "0123456789abcdef"[value & 0xF];
+  }
 }
 
 void AppendMessageId(std::string& out, MessageId id) {

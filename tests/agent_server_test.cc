@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/buffer_pool.h"
 #include "domains/topologies.h"
+#include "net/sim_network.h"
 #include "workload/agents.h"
 #include "workload/sim_harness.h"
 
@@ -166,6 +168,68 @@ TEST(AgentServer, CoreSnapshotExposesMatrix) {
   ASSERT_TRUE(core.has_value());
   EXPECT_EQ(core->matrix().at(DomainServerId(0), DomainServerId(1)), 1u);
   EXPECT_FALSE(harness.server(ServerId(0)).CoreSnapshot(99).has_value());
+}
+
+// Hands the server frames the test builds, through the receive handler
+// the server installed, as its transport would.
+class HandOffEndpoint final : public net::Endpoint {
+ public:
+  explicit HandOffEndpoint(std::unique_ptr<net::Endpoint> inner)
+      : inner_(std::move(inner)) {}
+
+  [[nodiscard]] ServerId self() const override { return inner_->self(); }
+  Status Send(ServerId to, Bytes frame) override {
+    return inner_->Send(to, std::move(frame));
+  }
+  void SetReceiveHandler(net::ReceiveHandler handler) override {
+    handler_ = handler;
+    inner_->SetReceiveHandler(std::move(handler));
+  }
+
+  void HandOff(ServerId from, Bytes frame) { handler_(from, std::move(frame)); }
+
+ private:
+  std::unique_ptr<net::Endpoint> inner_;
+  net::ReceiveHandler handler_;
+};
+
+// The receive path decodes the transport's own buffer and then releases
+// it to the pool, with no copy in between.  A buffer above the pool's
+// keep cap (256 KiB) shows which buffer was released: the pool discards
+// it, one discard more than for the same frame in a normal buffer.  A
+// server that copied the frame before decoding would release the copy,
+// whose capacity is the frame's size, and discard nothing extra.
+TEST(AgentServer, ReceivePathReleasesTheTransportsOwnBuffer) {
+  sim::Simulator simulator;
+  net::SimRuntime runtime(simulator);
+  net::SimNetwork network(simulator, net::CostModel{});
+  auto deployment = domains::Deployment::Create(Flat(2)).value();
+  auto endpoint0 = network.CreateEndpoint(ServerId(0)).value();
+  auto hand_off = std::make_unique<HandOffEndpoint>(
+      network.CreateEndpoint(ServerId(1)).value());
+  HandOffEndpoint* endpoint1 = hand_off.get();
+  InMemoryStore store0;
+  InMemoryStore store1;
+  AgentServer server0(deployment, ServerId(0), endpoint0.get(), &runtime,
+                      &store0);
+  AgentServer server1(deployment, ServerId(1), endpoint1, &runtime, &store1);
+  ASSERT_TRUE(server0.Boot().ok());
+  ASSERT_TRUE(server1.Boot().ok());
+  simulator.RunToCompletion();
+
+  // An ack for a message S1 never sent: decoded, then a no-op.
+  const Bytes ack = AckFrame(MessageId{ServerId(0), 42}).Serialize();
+  const auto discards_while_receiving = [&](Bytes frame) {
+    const std::uint64_t before = BufferPool::Totals().discards;
+    endpoint1->HandOff(ServerId(0), std::move(frame));
+    simulator.RunToCompletion();
+    return BufferPool::Totals().discards - before;
+  };
+  const std::uint64_t normal = discards_while_receiving(ack);
+  Bytes oversized;
+  oversized.reserve(512 * 1024);
+  oversized.assign(ack.begin(), ack.end());
+  EXPECT_EQ(discards_while_receiving(std::move(oversized)), normal + 1);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "mom/agent_server.h"
 #include "mom/message.h"
 #include "mom/store.h"
+#include "mom/store_schema.h"
 #include "net/sim_network.h"
 #include "sim/simulator.h"
 #include "workload/agents.h"
@@ -250,6 +251,48 @@ TEST(StoreGolden, MetaQueueHoldAndMatrixClockRecords) {
             "hold/0000/00020000000000000001=010200220102000102000101000108696e646972656374000000000300010100020102010101");
   EXPECT_EQ(cluster.store(ServerId(1)).Last("qin/"),
             "qin/0000000000000002=02000102000101000108696e64697265637400");
+}
+
+// Store keys at the edges of their fields: zero, the widest 16-bit
+// origin and domain, the widest 64-bit seq.  Each is fixed-width
+// lower-case hex, and ParseHexSuffix reads back the value it encodes.
+TEST(StoreGolden, KeysAtTheirFieldBoundaries) {
+  constexpr std::uint64_t kMaxSeq = ~std::uint64_t{0};
+  EXPECT_EQ(mom::InKey(0), "qin/0000000000000000");
+  EXPECT_EQ(mom::InKey(kMaxSeq), "qin/ffffffffffffffff");
+  EXPECT_EQ(mom::FwdKey(0xabcdef), "fwd/0000000000abcdef");
+  EXPECT_EQ(mom::ClockKey(0xFFFF), "clk/ffff");
+  EXPECT_EQ(mom::OutKey(MessageId{ServerId(0), 0}),
+            "qout/00000000000000000000");
+  EXPECT_EQ(mom::OutKey(MessageId{ServerId(0xFFFF), 0}),
+            "qout/ffff0000000000000000");
+  EXPECT_EQ(mom::OutKey(MessageId{ServerId(0), kMaxSeq}),
+            "qout/0000ffffffffffffffff");
+  EXPECT_EQ(mom::HoldKey(0xFFFF, MessageId{ServerId(0xFFFF), kMaxSeq}),
+            "hold/ffff/ffffffffffffffffffff");
+  // A value wider than its field keeps every digit rather than being
+  // cut to the field (printf's "%0*llx" behaviour).
+  EXPECT_EQ(mom::ClockKey(0x12345), "clk/12345");
+
+  EXPECT_EQ(mom::ParseHexSuffix(mom::InKey(0), mom::kQueueInKeyPrefix).value(),
+            0u);
+  EXPECT_EQ(
+      mom::ParseHexSuffix(mom::InKey(kMaxSeq), mom::kQueueInKeyPrefix).value(),
+      kMaxSeq);
+  EXPECT_EQ(mom::ParseHexSuffix(mom::FwdKey(kMaxSeq), mom::kFwdKeyPrefix)
+                .value(),
+            kMaxSeq);
+  EXPECT_EQ(
+      mom::ParseHexSuffix(mom::ClockKey(0xFFFF), mom::kClockKeyPrefix).value(),
+      0xFFFFu);
+  EXPECT_EQ(mom::ParseHexSuffix("hold/ffff", mom::kHoldKeyPrefix).value(),
+            0xFFFFu);
+  EXPECT_EQ(mom::ParseHexSuffix("qin/", mom::kQueueInKeyPrefix).status().code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(mom::ParseHexSuffix("qin/00FF", mom::kQueueInKeyPrefix)
+                .status()
+                .code(),
+            StatusCode::kDataLoss);
 }
 
 // Bus(2, 2): S1 -> S3 crosses routers S0 and S2; the first router parks
