@@ -10,6 +10,7 @@
 #include "flow/admission.h"
 #include "flow/dead_letter.h"
 #include "mom/store_schema.h"
+#include "net/reactor.h"
 
 namespace cmom::mom {
 
@@ -325,11 +326,20 @@ void AgentServer::HandleFrame(ServerId from, Bytes frame) {
   std::unique_lock lock(mutex_);
   if (shutdown_ || !halt_status_.ok()) return;
   inbox_.push_back(std::move(decoded));
-  if (!inbox_drain_queued_) {
-    inbox_drain_queued_ = true;
-    work_queue_.push_back([this] { return DrainInbox(); });
-    PumpLocked();
-  }
+  if (inbox_drain_queued_) return;
+  inbox_drain_queued_ = true;
+  work_queue_.push_back([this] { return DrainInbox(); });
+  // On a reactor thread the drain waits for the end of the epoll round,
+  // so every frame the round brings joins one batch: one commit and one
+  // ack frame per peer.  Everywhere else (simulated and in-process
+  // transports) it runs now.
+  const bool deferred = net::Reactor::DeferToRoundEnd([this, life = life_] {
+    std::lock_guard hold(life->mutex);
+    if (!life->alive) return;
+    std::unique_lock relock(mutex_);
+    if (!shutdown_) PumpLocked();
+  });
+  if (!deferred) PumpLocked();
 }
 
 // One Channel transaction: processes up to kChannelBatch inbox frames,
@@ -774,11 +784,11 @@ std::size_t AgentServer::StampAndEnqueue(Message message) {
   entry.next_hop = hop;
   entry.domain = item->id;
   entry.stamp = item->core.PrepareSend(*hop_local);
+  entry.stamp_size = entry.stamp.EncodedSize();
   entry.enqueue_seq = next_out_enqueue_seq_++;
   const std::size_t entries = entry.stamp.entries.size();
-  const std::size_t stamp_bytes = entry.stamp.EncodedSize();
-  stats_.stamp_bytes_sent += stamp_bytes;
-  stats_.stamp_bytes_hist.Record(stamp_bytes);
+  stats_.stamp_bytes_sent += entry.stamp_size;
+  stats_.stamp_bytes_hist.Record(entry.stamp_size);
 
   const MessageId id = entry.message.id;
   PersistOutEntry(entry);
@@ -819,7 +829,8 @@ void AgentServer::EmitFrame(ServerId to, Bytes bytes) {
 
 void AgentServer::EmitOutEntry(OutEntry& entry) {
   const DataFrameView frame{entry.message, entry.domain, entry.stamp,
-                            options_.epoch, incarnation_};
+                            entry.stamp_size, options_.epoch,
+                            incarnation_};
   EmitFrame(entry.next_hop, frame.Serialize());
   ScheduleRetransmit(entry);
 }
@@ -1232,7 +1243,7 @@ void AgentServer::PersistAgent(std::uint32_t local_id) {
 
 void AgentServer::PersistOutEntry(const OutEntry& entry) {
   Bytes record(VarU64Size(entry.enqueue_seq) + entry.message.EncodedSize() +
-               2 * sizeof(std::uint16_t) + entry.stamp.EncodedSize());
+               2 * sizeof(std::uint16_t) + entry.stamp_size);
   std::uint8_t* p = PutVarU64(record.data(), entry.enqueue_seq);
   p = entry.message.EncodeTo(p);
   p = PutLittleEndian(p, entry.next_hop.value());
@@ -1452,6 +1463,7 @@ Status AgentServer::RecoverEntriesLocked() {
     auto stamp = clocks::Stamp::Decode(in);
     if (!stamp.ok()) return stamp.status();
     entry.stamp = std::move(stamp).value();
+    entry.stamp_size = entry.stamp.EncodedSize();
     out_entries.push_back(std::move(entry));
   }
   std::sort(out_entries.begin(), out_entries.end(),

@@ -22,11 +22,16 @@
 //
 // Batching: incoming frames land in an inbox and are drained up to 16
 // per work item, committing the whole batch in ONE store transaction
-// and coalescing the acks into one frame per peer.  Likewise the
-// Engine drains up to 16 QueueIN messages per work item and commits
-// all their reactions together.  Batches are still atomic, so
-// exactly-once causal delivery is unaffected; under load the commit
-// (and ack) count per message drops toward 1/batch.
+// and coalescing the acks into one frame per peer.  A batch forms per
+// reactor round: a reactor thread that queues the drain runs it only
+// after every socket event of its epoll_wait was dispatched
+// (net::Reactor::DeferToRoundEnd), so every frame the round read joins
+// it, with no knob and no timer.  Likewise the Engine drains up to 16
+// QueueIN messages per work item and commits all their reactions
+// together.  Batches are still atomic, so exactly-once causal delivery
+// is unaffected; the commit (and ack) count per message is 1/batch,
+// and a bus whose frames trickle in one per round degenerates to the
+// classical one commit per frame.
 //
 // Persistence is incremental (mom/store_schema.h): QueueOUT, QueueIN,
 // the hold-back queues and the router's staged forwards live under
@@ -55,9 +60,12 @@
 // step, forward step, timer expiry, control record -- runs under the
 // server lock, one at a time, on the thread that found the work queue
 // idle when it posted (a transport thread, the timer thread or a
-// SendMessage caller).  Only frame decode (HandleFrame, on the
-// transport thread) and handing committed frames to the transport run
-// outside the lock.
+// SendMessage caller).  A reactor thread that queued a Channel drain
+// runs the queue at the end of its epoll round instead, before the
+// round's posted tasks flush the frames it emitted; simulated and
+// in-process transports run it at once.  Only frame decode
+// (HandleFrame, on the transport thread) and handing committed frames
+// to the transport run outside the lock.
 #pragma once
 
 #include <algorithm>
@@ -355,6 +363,9 @@ class AgentServer {
     ServerId next_hop;
     DomainId domain;
     clocks::Stamp stamp;
+    // stamp.EncodedSize(), sized once when stamped (or recovered) and
+    // reused by the stats, the qout/ record and every emission.
+    std::size_t stamp_size = 0;
     std::uint32_t attempts = 0;
     // Runtime time of the next retransmission; kNoRetransmit before the
     // first emission (credit-blocked) and after the chain gave up.
@@ -392,6 +403,8 @@ class AgentServer {
   void PumpLocked();
 
   // --- channel -------------------------------------------------------
+  // Decodes `frame` into the inbox and queues the drain: at the end of
+  // the reactor round on a reactor thread, inline everywhere else.
   void HandleFrame(ServerId from, Bytes frame);
   // Processes up to kChannelBatch inbox frames in one transaction.
   std::size_t DrainInbox();

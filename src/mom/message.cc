@@ -81,8 +81,8 @@ Result<Message> Message::Decode(ByteReader& in) {
 }
 
 std::size_t DataFrameView::SerializedSize() const {
-  return 1 + message.EncodedSize() + kU16 + VarU64Size(epoch) +
-         stamp.EncodedSize() + VarU64Size(incarnation);
+  return 1 + message.EncodedSize() + kU16 + VarU64Size(epoch) + stamp_size +
+         VarU64Size(incarnation);
 }
 
 std::uint8_t* DataFrameView::SerializeInto(std::uint8_t* p) const {

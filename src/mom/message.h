@@ -54,6 +54,10 @@ struct DataFrameView {
   const Message& message;
   DomainId domain;
   const clocks::Stamp& stamp;
+  // stamp.EncodedSize(), which walks every entry: a sender sizes a
+  // stamp once, when it stamps, and frames each emission with that.
+  // No default, so -Wextra flags a view built without it.
+  std::size_t stamp_size;
   std::uint64_t epoch = 0;
   std::uint64_t incarnation = 0;
 
@@ -87,7 +91,7 @@ struct DataFrame {
   friend bool operator==(const DataFrame&, const DataFrame&) = default;
 
   [[nodiscard]] DataFrameView view() const {
-    return {message, domain, stamp, epoch, incarnation};
+    return {message, domain, stamp, stamp.EncodedSize(), epoch, incarnation};
   }
   [[nodiscard]] Bytes Serialize() const { return view().Serialize(); }
   [[nodiscard]] std::size_t SerializedSize() const {

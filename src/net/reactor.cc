@@ -32,6 +32,10 @@ std::uint64_t NowNs() {
 constexpr int kMaxEvents = 256;
 constexpr int kIdleTimeoutMs = 100;
 
+// The round-end list of the shard thread that is dispatching socket
+// events right now; null everywhere else.
+thread_local std::vector<Reactor::Task>* t_round_end = nullptr;
+
 }  // namespace
 
 void SetNonBlocking(int fd) {
@@ -248,6 +252,12 @@ void Reactor::PostDelayed(std::size_t shard_index, std::uint64_t delay_ns,
   if (wake && !OnShardThread(shard_index)) shard.Wake();
 }
 
+bool Reactor::DeferToRoundEnd(Task task) {
+  if (t_round_end == nullptr) return false;
+  t_round_end->push_back(std::move(task));
+  return true;
+}
+
 bool Reactor::OnShardThread(std::size_t shard_index) const {
   return shards_[shard_index]->thread.get_id() == std::this_thread::get_id();
 }
@@ -270,6 +280,7 @@ std::vector<ReactorShardStats> Reactor::Stats() const {
 
 void Reactor::Loop(Shard* shard) {
   std::array<epoll_event, kMaxEvents> events;
+  std::vector<Task> round_end;
   std::vector<Task> ready_tasks;
   std::vector<Task> ready_timers;
   while (true) {
@@ -303,6 +314,7 @@ void Reactor::Loop(Shard* shard) {
     // Socket events first: a token that a task in this round will
     // deregister must still see its events dispatched-or-skipped
     // atomically with respect to that task (both run here, in order).
+    t_round_end = &round_end;
     for (int i = 0; i < std::max(n, 0); ++i) {
       const std::uint64_t token = events[i].data.u64;
       if (token == 0) {
@@ -322,6 +334,12 @@ void Reactor::Loop(Shard* shard) {
       shard->events.fetch_add(1, std::memory_order_relaxed);
       (*handler)(events[i].events);
     }
+    t_round_end = nullptr;
+
+    // Round-end tasks, even when stopping: each stands for work its
+    // event already queued, and nothing else would run it.
+    for (Task& task : round_end) task();
+    round_end.clear();
 
     // Posted tasks.
     ready_tasks.clear();

@@ -16,6 +16,9 @@
 //     every task posted to that shard run on that shard's thread, so
 //     per-connection state needs no lock of its own.
 //   - Register/Post/PostDelayed are thread-safe.
+//   - One loop iteration dispatches the socket events of one
+//     epoll_wait, then the round-end tasks those callbacks deferred
+//     (DeferToRoundEnd), then posted tasks, then due timers.
 //   - Deregister blocks until the callback can no longer be running
 //     (it runs the removal ON the shard thread and waits for it, or
 //     inline when already called from that thread).  After it returns
@@ -121,6 +124,16 @@ class Reactor {
   bool Post(std::size_t shard, Task task);
   // Runs `task` on the shard thread once `delay_ns` elapsed.
   void PostDelayed(std::size_t shard, std::uint64_t delay_ns, Task task);
+
+  // Queues `task` to run on the calling shard thread once the socket
+  // events of the current epoll round have all been dispatched, before
+  // the round's posted tasks.  Work that several events of one round
+  // feed (a server's inbox drain) thus runs once per round, and frames
+  // it hands to the transport are flushed by the posted tasks of the
+  // same loop iteration.  Returns false, and queues nothing, unless
+  // called from inside a socket-event callback: from a posted task, a
+  // timer, a round-end task or any thread that is not a shard thread.
+  static bool DeferToRoundEnd(Task task);
 
   [[nodiscard]] bool OnShardThread(std::size_t shard) const;
   [[nodiscard]] std::vector<ReactorShardStats> Stats() const;

@@ -1,18 +1,23 @@
 // Reactor-specific transport behavior: partial-write continuation
-// under starved socket buffers, and many endpoints multiplexed onto
-// the shared epoll shard pool.  The semantic contract (ordering,
-// supervision, reconnect) is covered by tcp_network_test /
-// tcp_mom_test, which run unchanged against the event-driven rewrite;
-// this file pins the new machinery itself.
+// under starved socket buffers, many endpoints multiplexed onto the
+// shared epoll shard pool, and the loop's order within one round.  The
+// semantic contract (ordering, supervision, reconnect) is covered by
+// tcp_network_test / tcp_mom_test, which run unchanged against the
+// event-driven rewrite; this file pins the new machinery itself.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/epoll.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "net/reactor.h"
 #include "net/tcp_network.h"
 
 namespace cmom::net {
@@ -139,6 +144,82 @@ TEST(EpollTransport, ManyEndpointsShareReactorShards) {
     fds += shard.fds;
   }
   EXPECT_GE(fds, static_cast<std::uint64_t>(kServers));
+}
+
+// One posted task makes two pipes readable, so the next epoll_wait
+// returns both in one round.  Each callback defers a round-end task and
+// posts a task: both callbacks run first, then the deferred tasks in
+// deferral order, then the posted ones.  Deferring is refused outside
+// a socket-event callback.
+TEST(Reactor, RoundEndTasksRunAfterEveryEventAndBeforePostedTasks) {
+  int a[2];
+  int b[2];
+  ASSERT_EQ(::pipe2(a, O_NONBLOCK | O_CLOEXEC), 0);
+  ASSERT_EQ(::pipe2(b, O_NONBLOCK | O_CLOEXEC), 0);
+  ScopedFd a_read(a[0]);
+  ScopedFd a_write(a[1]);
+  ScopedFd b_read(b[0]);
+  ScopedFd b_write(b[1]);
+
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::vector<std::string> order;  // written on the shard thread only
+  bool deferred_in_event = true;
+  bool deferred_in_posted = true;
+  bool deferred_in_round_end = true;
+  int posted_done = 0;
+
+  Reactor reactor(1);
+  auto on_readable = [&](int fd, std::string name) {
+    return [&, fd, name](std::uint32_t events) {
+      if ((events & EPOLLIN) == 0) return;
+      char drain[8];
+      while (::read(fd, drain, sizeof(drain)) > 0) {
+      }
+      order.push_back("event " + name);
+      deferred_in_event &= Reactor::DeferToRoundEnd([&, name] {
+        order.push_back("round-end " + name);
+        deferred_in_round_end = Reactor::DeferToRoundEnd([] {});
+      });
+      reactor.Post(0, [&, name] {
+        order.push_back("posted " + name);
+        const bool deferred = Reactor::DeferToRoundEnd([] {});
+        std::lock_guard lock(mutex);
+        deferred_in_posted = deferred;
+        ++posted_done;
+        cv.notify_one();
+      });
+    };
+  };
+  const std::uint64_t a_token =
+      reactor.Register(0, a_read.get(), on_readable(a_read.get(), "a"));
+  const std::uint64_t b_token =
+      reactor.Register(0, b_read.get(), on_readable(b_read.get(), "b"));
+  ASSERT_NE(a_token, 0u);
+  ASSERT_NE(b_token, 0u);
+
+  EXPECT_FALSE(Reactor::DeferToRoundEnd([] {}));  // not a shard thread
+  ASSERT_TRUE(reactor.Post(0, [&] {
+    ASSERT_EQ(::write(a_write.get(), "x", 1), 1);
+    ASSERT_EQ(::write(b_write.get(), "x", 1), 1);
+  }));
+  {
+    std::unique_lock lock(mutex);
+    ASSERT_TRUE(cv.wait_for(lock, 10s, [&] { return posted_done == 2; }));
+  }
+  reactor.Deregister(a_token);
+  reactor.Deregister(b_token);
+
+  ASSERT_EQ(order.size(), 6u);
+  const std::string first = order[0].substr(order[0].size() - 1);
+  const std::string second = first == "a" ? "b" : "a";
+  const std::vector<std::string> expected = {
+      "event " + first,     "event " + second,  "round-end " + first,
+      "round-end " + second, "posted " + first, "posted " + second};
+  EXPECT_EQ(order, expected);
+  EXPECT_TRUE(deferred_in_event);
+  EXPECT_FALSE(deferred_in_round_end);
+  EXPECT_FALSE(deferred_in_posted);
 }
 
 }  // namespace
